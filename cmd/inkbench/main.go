@@ -49,7 +49,6 @@ func run(args []string) error {
 		burstUpds = fs.Int("burst-updates", 2000, "total single-change updates per coalescing mode in the burst scenario")
 		shardCnts = fs.String("shard-counts", "1,2,4,8", "comma-separated deployment sizes for the shard-scaling scenario (experiment: shards)")
 		partition = fs.String("partition", "hash", "vertex partition strategy for the shard-scaling scenario: hash, block or greedy")
-		fullBcast = fs.Bool("full-broadcast", false, "disable subscription-filtered delivery in the shard-scaling scenario (legacy all-to-all exchange)")
 		shardReps = fs.Int("shard-reps", 1, "repetitions per shard count; the median rep by updates/sec is reported")
 		shardWork = fs.String("shard-workload", "crowd", "shard-scaling stream: crowd (flash crowd on the hub) or scatter (disjoint edge streams)")
 		tierFacts = fs.String("tiered-factors", "1,2,4,10", "comma-separated working-set multiples of the cap for the tiered-store sweep (experiment: tiered)")
@@ -96,7 +95,6 @@ func run(args []string) error {
 	cfg.BurstDepth = *burstDep
 	cfg.BurstUpdates = *burstUpds
 	cfg.PartitionStrategy = *partition
-	cfg.FullBroadcast = *fullBcast
 	cfg.ShardReps = *shardReps
 	cfg.ShardWorkload = *shardWork
 	cfg.TieredQuant = *tierQuant

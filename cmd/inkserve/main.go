@@ -38,7 +38,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gnn"
@@ -47,7 +46,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/scheduler"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/tensor"
@@ -86,9 +84,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 		hidden     = fs.Int("hidden", 32, "hidden dimension")
 		shards     = fs.Int("shards", 1, "engine shards: >1 serves the graph from a partitioned multi-engine deployment (-wal becomes a WAL directory)")
 		partition  = fs.String("partition", "hash", "vertex partition strategy with -shards>1: hash, block or greedy (locality-aware)")
-		fullBcast  = fs.Bool("full-broadcast", false, "with -shards>1: broadcast every cross-shard record to every shard instead of subscription-filtered delivery (legacy exchange, for A/B comparison)")
-		batch      = fs.Int("batch", 0, "micro-batch size for /v1/submit (0 disables batching)")
-		staleness  = fs.Duration("staleness", 0, "max staleness before a pending /v1/submit batch flushes")
 		walPath    = fs.String("wal", "", "write-ahead log path: applied batches are journaled, and with -bundle the log is replayed on startup")
 		slowUpdate = fs.Duration("slow-update", 0, "log a full per-layer trace for updates slower than this (0 disables)")
 		traceAll   = fs.Bool("trace-updates", false, "log a per-layer trace for every update (verbose)")
@@ -116,7 +111,7 @@ func buildServer(args []string) (http.Handler, string, error) {
 	if *shards <= 1 {
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "partition" || f.Name == "full-broadcast" {
+			if f.Name == "partition" {
 				bad = append(bad, "-"+f.Name)
 			}
 		})
@@ -164,14 +159,13 @@ func buildServer(args []string) (http.Handler, string, error) {
 			return nil, "", fmt.Errorf("-shards is incompatible with -bundle/-save-bundle (engine bundles are single-engine)")
 		}
 		// Genuinely single-engine flags fail fast instead of being silently
-		// ignored: the batching scheduler, per-layer update tracing and the
-		// shadow drift auditor have no router equivalent. fs.Visit only
-		// reports flags the user actually set, so defaults pass.
+		// ignored: per-layer update tracing, the shadow drift auditor and the
+		// tiered store have no router equivalent. fs.Visit only reports
+		// flags the user actually set, so defaults pass.
 		singleOnly := map[string]bool{
-			"batch": true, "staleness": true, "slow-update": true,
-			"trace-updates": true, "audit-every": true, "audit-sample": true,
-			"audit-tol": true, "mem-cap": true, "page-bytes": true,
-			"quantize": true, "store-dir": true,
+			"slow-update": true, "trace-updates": true, "audit-every": true,
+			"audit-sample": true, "audit-tol": true, "mem-cap": true,
+			"page-bytes": true, "quantize": true, "store-dir": true,
 		}
 		var bad []string
 		fs.Visit(func(f *flag.Flag) {
@@ -198,7 +192,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 			Shards:            *shards,
 			WALDir:            *walPath,
 			PartitionStrategy: *partition,
-			FullBroadcast:     *fullBcast,
 		})
 		d.Stop()
 		if err != nil {
@@ -206,9 +199,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 		}
 		st := rt.Stats()
 		log.Printf("initial inference done in %v (%s partition, cut fraction %.3f)", d.Elapsed(), st.PartitionStrategy, st.CutFraction)
-		if *fullBcast {
-			log.Printf("subscription filtering disabled (-full-broadcast): every record goes to every shard")
-		}
 		if st.RecoveredRounds > 0 {
 			log.Printf("replayed %d rounds from the shard WALs", st.RecoveredRounds)
 		}
@@ -331,23 +321,6 @@ func buildServer(args []string) (http.Handler, string, error) {
 		}
 		srv.SetJournal(wal)
 		log.Printf("journaling updates to %s", *walPath)
-	}
-	if *batch > 0 || *staleness > 0 {
-		if err := srv.EnableBatching(scheduler.Policy{MaxBatch: *batch, MaxStaleness: *staleness}); err != nil {
-			return nil, "", err
-		}
-		interval := *staleness
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			for range time.Tick(interval / 2) {
-				if err := srv.Tick(); err != nil {
-					log.Printf("inkserve: batch flush: %v", err)
-				}
-			}
-		}()
-		log.Printf("micro-batching enabled: batch=%d staleness=%v", *batch, *staleness)
 	}
 	if *slowUpdate > 0 || *traceAll {
 		srv.EnableSlowUpdateLog(*slowUpdate, *traceAll, nil)

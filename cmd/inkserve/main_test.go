@@ -174,12 +174,10 @@ func TestBuildServerErrors(t *testing.T) {
 // sharded deployment the same serving surface (/v1/rounds included).
 func TestBuildServerSharded(t *testing.T) {
 	for i, args := range [][]string{
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-batch", "8"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-slow-update", "1ms"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-trace-updates"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-every", "16"},
 		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-audit-tol", "0.1"},
-		{"-dataset", "PM", "-scale", "32", "-shards", "2", "-staleness", "1s"},
 	} {
 		if _, _, err := buildServer(args); err == nil {
 			t.Errorf("case %d: accepted single-engine flag with -shards: %v", i, args)

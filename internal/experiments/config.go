@@ -62,9 +62,6 @@ type Config struct {
 	// PartitionStrategy selects the vertex-placement policy for the
 	// shard-scaling scenario ("hash", "block" or "greedy"; "" means hash).
 	PartitionStrategy string
-	// FullBroadcast disables subscription-filtered delivery in the
-	// shard-scaling scenario (the pre-PR8 all-to-all exchange baseline).
-	FullBroadcast bool
 	// ShardWorkload selects the shard-scaling stream: "crowd" (default —
 	// every update touches the flash-crowd hub, the worst case for
 	// delivery filtering) or "scatter" (disjoint edge streams spread over

@@ -66,30 +66,25 @@ type ShardScalingResult struct {
 	Waves     int
 	Hub       graph.NodeID
 	HubDegree int
-	// Strategy and FullBroadcast name the exchange configuration every
-	// point ran under; Workload is "crowd" (flash crowd on the hub) or
-	// "scatter" (disjoint edge streams across the graph).
-	Strategy      string
-	FullBroadcast bool
-	Workload      string
-	GOMAXPROCS    int
-	Points        []ShardPoint
+	// Strategy names the partitioner every point ran under; Workload is
+	// "crowd" (flash crowd on the hub) or "scatter" (disjoint edge streams
+	// across the graph).
+	Strategy   string
+	Workload   string
+	GOMAXPROCS int
+	Points     []ShardPoint
 }
 
 // Render formats the scaling report. The per-point `shard-scaling:` lines
 // are stable and machine-parseable (scripts/bench_snapshot.sh).
 func (r ShardScalingResult) Render() string {
 	var b strings.Builder
-	mode := "filtered"
-	if r.FullBroadcast {
-		mode = "full-broadcast"
-	}
 	if r.Workload == "scatter" {
-		fmt.Fprintf(&b, "Shard scaling (%s): %d waves x %d pipelined single-change updates, scattered disjoint edge streams, partition=%s exchange=%s, GOMAXPROCS=%d\n",
-			r.Dataset, r.Waves, r.Depth, r.Strategy, mode, r.GOMAXPROCS)
+		fmt.Fprintf(&b, "Shard scaling (%s): %d waves x %d pipelined single-change updates, scattered disjoint edge streams, partition=%s, GOMAXPROCS=%d\n",
+			r.Dataset, r.Waves, r.Depth, r.Strategy, r.GOMAXPROCS)
 	} else {
-		fmt.Fprintf(&b, "Shard scaling (%s): %d waves x %d pipelined single-change updates, flash crowd on node %d (degree %d), partition=%s exchange=%s, GOMAXPROCS=%d\n",
-			r.Dataset, r.Waves, r.Depth, r.Hub, r.HubDegree, r.Strategy, mode, r.GOMAXPROCS)
+		fmt.Fprintf(&b, "Shard scaling (%s): %d waves x %d pipelined single-change updates, flash crowd on node %d (degree %d), partition=%s, GOMAXPROCS=%d\n",
+			r.Dataset, r.Waves, r.Depth, r.Hub, r.HubDegree, r.Strategy, r.GOMAXPROCS)
 	}
 	for _, p := range r.Points {
 		exact := "bit-exact"
@@ -101,8 +96,8 @@ func (r ShardScalingResult) Render() string {
 			recsPerRound = float64(p.BoundaryRecords) / float64(p.Rounds)
 			ghostPerRound = float64(p.GhostRows) / float64(p.Rounds)
 		}
-		fmt.Fprintf(&b, "  shard-scaling: shards=%d partition=%s exchange=%s reps=%d upd/s=%.1f min-upd/s=%.1f p50=%v p99=%v speedup=%.2fx rounds=%d stalls=%d cut=%.3f boundary-records=%d bcast-rd=%.1f filtered-records=%d ghost-rd=%.1f boundary-share=%.3f barrier-share=%.3f straggler-skew=%.2f straggler=s%d %s\n",
-			p.Shards, r.Strategy, mode, p.Reps, p.UpdatesPerSec, p.MinUpdatesPerSec,
+		fmt.Fprintf(&b, "  shard-scaling: shards=%d partition=%s reps=%d upd/s=%.1f min-upd/s=%.1f p50=%v p99=%v speedup=%.2fx rounds=%d stalls=%d cut=%.3f boundary-records=%d bcast-rd=%.1f filtered-records=%d ghost-rd=%.1f boundary-share=%.3f barrier-share=%.3f straggler-skew=%.2f straggler=s%d %s\n",
+			p.Shards, r.Strategy, p.Reps, p.UpdatesPerSec, p.MinUpdatesPerSec,
 			p.AckP50.Round(time.Microsecond),
 			p.AckP99.Round(time.Microsecond), p.Speedup, p.Rounds, p.Stalls,
 			p.CutFraction, p.BoundaryRecords, recsPerRound, p.FilteredRecords,
@@ -119,7 +114,6 @@ func runShardCount(c Config, inst instance, model *gnn.Model, pools [][]graph.Ed
 	rt, err := shard.New(model, inst.G, inst.X, shard.Config{
 		Shards:            shards,
 		PartitionStrategy: c.PartitionStrategy,
-		FullBroadcast:     c.FullBroadcast,
 	})
 	if err != nil {
 		return ShardPoint{}, nil, err
@@ -271,8 +265,7 @@ func ShardScaling(c Config) (ShardScalingResult, error) {
 	}
 	res := ShardScalingResult{
 		Dataset: inst.Spec.Name, Depth: depth, Waves: waves,
-		Hub: hub, Strategy: strategy, FullBroadcast: c.FullBroadcast,
-		Workload: workload, GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Hub: hub, Strategy: strategy, Workload: workload, GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	if hub >= 0 {
 		res.HubDegree = inst.G.OutDegree(hub)

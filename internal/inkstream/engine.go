@@ -92,11 +92,11 @@ type Engine struct {
 	// of each Apply.
 	arena vecArena
 
-	// processLayer fan-in/fan-out buffers, reused across layers and
+	// processRange fan-in/fan-out buffers, reused across layers and
 	// Applies. outN[i]/outU[i] keep their capacity for group slot i; evBuf
 	// and uevBuf carry each layer's merged events into the next layer's
 	// grouping pass (safe to overwrite in place: the grouper has absorbed
-	// the previous layer's events before processLayer reuses the buffer).
+	// the previous layer's events before Apply merges into the buffer).
 	outN   [][]Event
 	outU   [][]UserEvent
 	conds  []Condition
@@ -104,10 +104,10 @@ type Engine struct {
 	uevBuf []UserEvent
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
-	// engine into shard mode: Apply is disabled in favour of the
-	// BeginRound/RoundLayer/FinishRound protocol, and processTarget captures
-	// message-change records into outR/partRecOut instead of fanning events
-	// out locally.
+	// engine into shard mode: Apply is disabled in favour of the round
+	// protocol (BeginRound, RoundLayerBoundary + RoundLayerInterior per
+	// layer, FinishRound), and processTarget captures message-change
+	// records into outR/partRecOut instead of fanning events out locally.
 	partLocal  []bool
 	partActive bool
 	partDelta  graph.Delta
@@ -132,8 +132,8 @@ type Engine struct {
 	partRecB      []MessageChange
 
 	// roundTiming gates the per-stage round profiler hooks (partition.go):
-	// when on, each BeginRound/RoundLayer call leaves a RoundStageStats in
-	// lastStage for the router to collect after the stage barrier. Off by
+	// when on, each round stage leaves a RoundStageStats in lastStage for
+	// the router to collect after the stage barrier. Off by
 	// default — a couple of time.Now calls per stage is cheap, but the
 	// profiler is still opt-in like the flight recorder.
 	roundTiming bool
@@ -420,10 +420,7 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		}
 		// Stage the layer's full native event list — changed-edge events
 		// first, then the carried events, matching the historical arrival
-		// order — and route it through the grouper: sequentially for small
-		// layers, across the worker pool for large ones. Both routes yield
-		// identical groups in identical order (DESIGN.md §9), so the choice
-		// is invisible to everything downstream.
+		// order — and group it.
 		e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, delta, oldMsg)
 		fetched := 0
 		for _, ev := range carried {
@@ -431,22 +428,19 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 		}
 		e.c.FetchVec(fetched)
 		e.routeN = append(e.routeN, carried...)
-		dim := e.model.Layers[l].MsgDim()
-		var groups []*group
-		if S := e.shardCount(len(e.routeN) + len(carriedUser)); S > 1 {
-			e.gr.beginSharded(dim, S)
-			groups = e.gr.groupSharded(e.routeN, carriedUser, e.hooks)
-		} else {
-			e.gr.begin(dim)
-			for _, ev := range e.routeN {
-				e.gr.addNative(ev)
-			}
-			for _, ev := range carriedUser {
-				e.gr.addUser(ev)
-			}
-			groups = e.gr.finish(e.hooks)
+		groups := e.groupLayer(l, e.routeN, carriedUser)
+		e.processRange(l, groups, 0, len(groups))
+		// Merge the per-target fan-out into the carried-event buffers in
+		// sorted-target order. The buffers may still hold the events carried
+		// INTO this layer, but the grouper consumed those already, so
+		// overwriting them in place is safe.
+		nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
+		for i := range groups {
+			nextN = append(nextN, e.outN[i]...)
+			nextU = append(nextU, e.outU[i]...)
 		}
-		carried, carriedUser = e.processLayer(l, groups)
+		e.evBuf, e.uevBuf = nextN, nextU
+		carried, carriedUser = nextN, nextU
 		if observing {
 			span.Elapsed = time.Since(phase0)
 			span.EventsOut = int64(len(carried))
@@ -630,12 +624,38 @@ func (e *Engine) payload(p tensor.Vector) tensor.Vector {
 	return p
 }
 
-// processLayer consumes the grouped events of layer l: it updates each
-// target's α (incrementally where eligible), recomputes the layer output
-// for affected targets, and emits the next layer's events. Targets are
-// independent after grouping, so they are processed in parallel; results
-// are merged in sorted-target order for determinism.
-func (e *Engine) processLayer(l int, groups []*group) ([]Event, []UserEvent) {
+// groupLayer routes one layer's staged native events, then the carried
+// user events, through the grouper: sequentially for small layers, across
+// the worker pool for large ones. Both routes yield identical groups in
+// identical order (DESIGN.md §9), so the choice is invisible to everything
+// downstream. The groups are sorted by target (except under
+// DisableGrouping, which keeps arrival order — one group per event).
+func (e *Engine) groupLayer(l int, native []Event, user []UserEvent) []*group {
+	dim := e.model.Layers[l].MsgDim()
+	if S := e.shardCount(len(native) + len(user)); S > 1 {
+		e.gr.beginSharded(dim, S)
+		return e.gr.groupSharded(native, user, e.hooks)
+	}
+	e.gr.begin(dim)
+	for _, ev := range native {
+		e.gr.addNative(ev)
+	}
+	for _, ev := range user {
+		e.gr.addUser(ev)
+	}
+	return e.gr.finish(e.hooks)
+}
+
+// processRange runs processTarget over groups[lo:hi] (parallel unless the
+// engine is sequential): it updates each target's α (incrementally where
+// eligible), recomputes the layer output for affected targets, and emits
+// the next layer's events into the per-slot outN/outU buffers and, in
+// partitioned mode, its message-change records into outR. Targets are
+// independent after grouping, so they run in parallel; the range's records
+// and conditions are then merged in group order (sorted by target), so a
+// round's record list comes out sorted by source node. Carried events stay
+// in the slot buffers for the caller to merge.
+func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 	n := len(groups)
 	// Grow the per-group fan-out tables to n slots, keeping each slot's
 	// accumulated capacity across layers and Apply calls.
@@ -644,37 +664,27 @@ func (e *Engine) processLayer(l int, groups []*group) ([]Event, []UserEvent) {
 		e.outU = append(e.outU, nil)
 		e.outR = append(e.outR, nil)
 	}
-	outN, outU, outR := e.outN, e.outU, e.outR
 	if cap(e.conds) < n {
 		e.conds = make([]Condition, n)
 		e.dirt = make([]bool, n)
 	}
 	conds, dirt := e.conds[:n], e.dirt[:n]
-	body := func(lo, hi int) {
+	outN, outU, outR := e.outN, e.outU, e.outR
+	body := func(a, b int) {
 		// Per-chunk scratch, recycled across chunks, layers and Applies.
 		sc := e.getScratch(l)
-		for i := lo; i < hi; i++ {
+		for i := lo + a; i < lo+b; i++ {
 			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
 		}
 		e.scratchPools[l].Put(sc)
 	}
 	if e.opts.Sequential || e.opts.DisableGrouping {
-		body(0, n)
+		body(0, hi-lo)
 	} else {
-		tensor.ParallelForGrain(n, 4*e.model.Layers[l].MsgDim(), body)
+		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), body)
 	}
-	// Merge into the carried-event buffers. The buffers may still hold the
-	// events carried INTO this layer, but the grouper consumed those before
-	// processLayer ran, so overwriting them in place is safe.
-	nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
-	for i := 0; i < n; i++ {
-		nextN = append(nextN, outN[i]...)
-		nextU = append(nextU, outU[i]...)
-		if e.partActive {
-			// Records merge in sorted-group-target order, so the round's
-			// record list comes out sorted by source node.
-			e.partRecOut = append(e.partRecOut, outR[i]...)
-		}
+	for i := lo; i < hi; i++ {
+		e.partRecOut = append(e.partRecOut, outR[i]...)
 		e.stats.Add(conds[i])
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
@@ -684,8 +694,6 @@ func (e *Engine) processLayer(l int, groups []*group) ([]Event, []UserEvent) {
 			e.opts.Trace(l, groups[i].target, conds[i])
 		}
 	}
-	e.evBuf, e.uevBuf = nextN, nextU
-	return nextN, nextU
 }
 
 // getScratch fetches (or lazily builds) worker scratch for layer l.
@@ -795,10 +803,11 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 		return evts, uevts, recs, cond, false
 	}
 	if e.partActive {
-		// Partitioned mode: the router broadcasts the message change to
-		// every shard, which regenerates the fan-out over its own arcs
-		// (RoundLayer) — including this one. Local fan-out here would
-		// double-apply the change to local out-neighbors.
+		// Partitioned mode: the router delivers the message change to
+		// this shard and every subscriber, which regenerate the fan-out
+		// over their own arcs (RoundLayerBoundary) — including this one.
+		// Local fan-out here would double-apply the change to local
+		// out-neighbors.
 		recs = append(recs, MessageChange{Node: u, Old: oldM, New: mRow})
 	} else {
 		evts = e.fanOut(u, next.Agg(), oldM, mRow, evts)

@@ -17,31 +17,31 @@ import (
 // In partitioned mode one engine owns a subset of the vertices. It holds
 // full-size state matrices, but only the rows of local vertices are
 // authoritative; message rows of remote vertices are ghost rows, refreshed
-// from broadcast message-change records at the start of every layer. The
+// from delivered message-change records at the start of every layer. The
 // engine never fans events out itself — processTarget captures a
-// MessageChange record per affected source instead, the router merges the
-// records of all shards in node order, and every shard regenerates the
-// fan-out over its own in-arcs (RoundLayer). Because a shard graph holds
-// every in-arc of every local vertex, the regenerated per-target event
-// sequence is exactly the single-engine sequence restricted to local
-// targets, in the same arrival order — which is what makes N-shard results
-// bit-exact against a 1-shard run (see DESIGN.md §11.3).
+// MessageChange record per affected source instead, the router delivers the
+// records to their producer and subscribers in node order, and every shard
+// regenerates the fan-out over its own in-arcs (RoundLayerBoundary).
+// Because a shard graph holds every in-arc of every local vertex, the
+// regenerated per-target event sequence is exactly the single-engine
+// sequence restricted to local targets, in the same arrival order — which
+// is what makes N-shard results bit-exact against Apply on a single engine
+// (see DESIGN.md §11.3).
 
-var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use BeginRound/RoundLayer/FinishRound via the shard router")
+var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use BeginRound/RoundLayerBoundary/RoundLayerInterior/FinishRound via the shard router")
 
 // RoundStageStats is one shard's self-measured slice of one round stage,
 // read by the router after the stage barrier (the WaitGroup join orders the
 // write before the read). Ghost is the ghost-row refresh portion of a
-// RoundLayer call; Events the native events the stage staged locally.
+// RoundLayerBoundary call; Events the native events the stage staged locally.
 type RoundStageStats struct {
 	GhostRows int
 	Events    int
 	Ghost     time.Duration
 	// Boundary/Interior split one RoundLayerBoundary+RoundLayerInterior
 	// pair's compute time into the part that produced outgoing records and
-	// the part overlapped with the exchange (both zero for plain
-	// RoundLayer calls). BoundaryTargets counts the groups processed in the
-	// boundary phase.
+	// the part overlapped with the exchange. BoundaryTargets counts the
+	// groups processed in the boundary phase.
 	Boundary        time.Duration
 	Interior        time.Duration
 	BoundaryTargets int
@@ -51,8 +51,9 @@ type RoundStageStats struct {
 // concurrently with rounds.
 func (e *Engine) SetRoundTiming(on bool) { e.roundTiming = on }
 
-// LastStageStats returns the stats of the most recent BeginRound/RoundLayer
-// call (zero when timing is off).
+// LastStageStats returns the stats of the most recent round stage: a
+// BeginRound call or a RoundLayerBoundary+RoundLayerInterior pair (zero when
+// timing is off).
 func (e *Engine) LastStageStats() RoundStageStats { return e.lastStage }
 
 // MessageChange records that node Node's layer-(l+1) message changed from
@@ -133,40 +134,50 @@ func (e *Engine) BeginRound(delta graph.Delta, vups []VertexUpdate) ([]MessageCh
 	return recs, nil
 }
 
-// RoundLayer runs layer l of the open round. recs must be the node-sorted
-// union of every shard's records for this layer: the layer-0 records
-// returned by BeginRound (for l == 0) or the records returned by the
-// previous RoundLayer (for l > 0). It refreshes ghost message rows from
-// remote records, regenerates the layer's event list (changed-edge events
-// in sub-batch order, then record fan-out in node order — the single-engine
-// arrival order restricted to local targets), processes the layer, and
-// returns this shard's records for the next layer, sorted by node.
-// The returned slice is engine-owned scratch (see BeginRound).
-func (e *Engine) RoundLayer(l int, recs []MessageChange) ([]MessageChange, error) {
-	groups, err := e.stageRoundLayer(l, recs)
-	if err != nil {
-		return nil, err
+// SetPartitionBoundary installs the boundary mask for split-layer rounds:
+// boundary[v] marks a local vertex with at least one remote subscriber, i.e.
+// a vertex whose message-change records other shards consume. The router
+// derives the mask from its subscription tables and refreshes it between
+// rounds when arc changes move the cut. Passing nil disables the split
+// (RoundLayerBoundary then processes every target in the boundary phase).
+// Not safe to call concurrently with rounds.
+func (e *Engine) SetPartitionBoundary(boundary []bool) error {
+	if boundary != nil && len(boundary) != e.g.NumNodes() {
+		return fmt.Errorf("inkstream: boundary mask for %d nodes, graph has %d", len(boundary), e.g.NumNodes())
 	}
-	e.partRecOut = e.partRecOut[:0]
-	_, carU := e.processLayer(l, groups)
-	e.partCarU = carU
-	return e.partRecOut, nil
+	if e.partActive {
+		return errors.New("inkstream: cannot change boundary mask mid-round")
+	}
+	e.partBoundary = boundary
+	return nil
 }
 
-// stageRoundLayer is the shared prologue of RoundLayer and
-// RoundLayerBoundary: validate, refresh ghost rows from remote records,
-// regenerate the layer's native event list and group it. The returned
-// groups are sorted by target (except under DisableGrouping, which keeps
-// arrival order — one group per event).
-func (e *Engine) stageRoundLayer(l int, recs []MessageChange) ([]*group, error) {
+// RoundLayerBoundary runs the boundary phase of layer l of the open round.
+// recs must be the node-sorted records delivered to this shard for the
+// layer: the layer-0 records returned by BeginRound (for l == 0) or the
+// records of the previous layer's two phases (for l > 0). It refreshes ghost
+// message rows from remote records, regenerates the layer's event list
+// (changed-edge events in sub-batch order, then record fan-out in node order
+// — the single-engine arrival order restricted to local targets), groups it,
+// and computes only the targets whose records other shards are waiting for.
+// It returns those records immediately — sorted by node, engine-owned,
+// stable until this engine's next RoundLayerBoundary — so the router can
+// start the cross-shard exchange while RoundLayerInterior finishes the rest
+// of the layer. Splitting a layer never changes values: grouped targets are
+// independent within a layer (layer-l processing reads M[l]/Alpha[l] and
+// writes only per-target H[l+1]/M[l+1] rows), so only the schedule moves.
+// With no boundary mask, or under DisableGrouping (whose group list is in
+// arrival order rather than target order), the whole layer runs in the
+// boundary phase.
+func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChange, error) {
 	if !e.partActive {
-		return nil, errors.New("inkstream: RoundLayer without an open round")
+		return nil, errors.New("inkstream: RoundLayerBoundary without an open round")
 	}
 	if e.partSplitOpen {
 		return nil, errors.New("inkstream: previous layer's interior phase still pending (RoundLayerInterior)")
 	}
 	if l < 0 || l >= e.model.NumLayers() {
-		return nil, fmt.Errorf("inkstream: RoundLayer layer %d out of range [0,%d)", l, e.model.NumLayers())
+		return nil, fmt.Errorf("inkstream: RoundLayerBoundary layer %d out of range [0,%d)", l, e.model.NumLayers())
 	}
 
 	// Ghost refresh: adopt the remote shards' message changes before any
@@ -193,62 +204,9 @@ func (e *Engine) stageRoundLayer(l int, recs []MessageChange) ([]*group, error) 
 	// edge events first, then the fan-out of this layer's message changes.
 	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.partDelta, e.partOld)
 	e.routeN = e.regenFanOut(e.routeN, l, recs)
-	carriedUser := e.partCarU
-
-	dim := e.model.Layers[l].MsgDim()
-	var groups []*group
-	if S := e.shardCount(len(e.routeN) + len(carriedUser)); S > 1 {
-		e.gr.beginSharded(dim, S)
-		groups = e.gr.groupSharded(e.routeN, carriedUser, e.hooks)
-	} else {
-		e.gr.begin(dim)
-		for _, ev := range e.routeN {
-			e.gr.addNative(ev)
-		}
-		for _, ev := range carriedUser {
-			e.gr.addUser(ev)
-		}
-		groups = e.gr.finish(e.hooks)
-	}
+	groups := e.groupLayer(l, e.routeN, e.partCarU)
 	if e.roundTiming {
-		e.lastStage.Events = len(e.routeN) + len(carriedUser)
-	}
-	return groups, nil
-}
-
-// SetPartitionBoundary installs the boundary mask for split-layer rounds:
-// boundary[v] marks a local vertex with at least one remote subscriber, i.e.
-// a vertex whose message-change records other shards consume. The router
-// derives the mask from its subscription tables and refreshes it between
-// rounds when arc changes move the cut. Passing nil disables the split
-// (RoundLayerBoundary then processes every target in the boundary phase).
-// Not safe to call concurrently with rounds.
-func (e *Engine) SetPartitionBoundary(boundary []bool) error {
-	if boundary != nil && len(boundary) != e.g.NumNodes() {
-		return fmt.Errorf("inkstream: boundary mask for %d nodes, graph has %d", len(boundary), e.g.NumNodes())
-	}
-	if e.partActive {
-		return errors.New("inkstream: cannot change boundary mask mid-round")
-	}
-	e.partBoundary = boundary
-	return nil
-}
-
-// RoundLayerBoundary runs the boundary phase of layer l: the same staging as
-// RoundLayer, then the compute of only the targets whose records other
-// shards are waiting for. It returns those records immediately — sorted by
-// node, engine-owned, stable until this engine's next stageRoundLayer — so
-// the router can start the cross-shard exchange while RoundLayerInterior
-// finishes the rest of the layer. Splitting a layer never changes values:
-// grouped targets are independent within a layer (layer-l processing reads
-// M[l]/Alpha[l] and writes only per-target H[l+1]/M[l+1] rows), so only the
-// schedule moves. Under DisableGrouping the group list is in arrival order
-// rather than target order, so the split is disabled and the whole layer
-// runs in the boundary phase.
-func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChange, error) {
-	groups, err := e.stageRoundLayer(l, recs)
-	if err != nil {
-		return nil, err
+		e.lastStage.Events = len(e.routeN) + len(e.partCarU)
 	}
 
 	split := len(groups)
@@ -338,52 +296,10 @@ func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
 	return interiorRecs, nil
 }
 
-// processRange runs processTarget over groups[lo:hi] (parallel unless the
-// engine is sequential) and merges that range's records into partRecOut and
-// its conditions into the stats. Carried events stay in the per-slot outU
-// buffers for the caller to merge in target order once both phases ran.
-func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
-	n := len(groups)
-	for len(e.outN) < n {
-		e.outN = append(e.outN, nil)
-		e.outU = append(e.outU, nil)
-		e.outR = append(e.outR, nil)
-	}
-	if cap(e.conds) < n {
-		e.conds = make([]Condition, n)
-		e.dirt = make([]bool, n)
-	}
-	conds, dirt := e.conds[:n], e.dirt[:n]
-	outN, outU, outR := e.outN, e.outU, e.outR
-	body := func(lo, hi int) {
-		sc := e.getScratch(l)
-		for i := lo; i < hi; i++ {
-			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
-		}
-		e.scratchPools[l].Put(sc)
-	}
-	if e.opts.Sequential || e.opts.DisableGrouping {
-		body(lo, hi)
-	} else {
-		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), func(a, b int) { body(lo+a, lo+b) })
-	}
-	for i := lo; i < hi; i++ {
-		e.partRecOut = append(e.partRecOut, outR[i]...)
-		e.stats.Add(conds[i])
-		e.layerStats[l].Add(conds[i])
-		if dirt[i] {
-			e.markDirty(groups[i].target)
-		}
-		if e.opts.Trace != nil {
-			e.opts.Trace(l, groups[i].target, conds[i])
-		}
-	}
-}
-
 // HasCarriedRoundEvents reports whether the open round is carrying user-hook
 // events into its next layer. The router's idle-shard check reads it between
 // layer barriers: a shard with an empty sub-batch, an empty delivery list AND
-// no carried events has provably nothing to do in the next RoundLayer call,
+// no carried events has provably nothing to do in the next layer,
 // so the router skips the call entirely.
 func (e *Engine) HasCarriedRoundEvents() bool { return len(e.partCarU) > 0 }
 

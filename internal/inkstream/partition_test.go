@@ -24,8 +24,13 @@ func expandDelta(delta graph.Delta) graph.Delta {
 }
 
 // driveRound pushes one batch through the round protocol exactly the way
-// the shard router does: BeginRound, per-layer record exchange (copied into
-// a caller-owned buffer and sorted by node), FinishRound.
+// the shard router does: BeginRound, then per layer RoundLayerBoundary
+// followed by RoundLayerInterior, with the two record slices concatenated
+// into a caller-owned buffer and node-sorted like the router's overlapped
+// merge, then FinishRound. The boundary slice must survive the interior
+// call untouched (the overlap contract), so it is only copied out
+// afterwards. With no boundary mask installed the whole layer runs in the
+// boundary phase.
 func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate) {
 	t.Helper()
 	recs, err := e.BeginRound(delta, vups)
@@ -35,11 +40,23 @@ func driveRound(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate)
 	merged := append([]MessageChange(nil), recs...)
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
 	for l := 0; l < e.model.NumLayers(); l++ {
-		out, err := e.RoundLayer(l, merged)
+		bnd, err := e.RoundLayerBoundary(l, merged)
 		if err != nil {
-			t.Fatalf("RoundLayer %d: %v", l, err)
+			t.Fatalf("RoundLayerBoundary %d: %v", l, err)
 		}
-		merged = append(merged[:0], out...)
+		bndCopy := append([]MessageChange(nil), bnd...)
+		intr, err := e.RoundLayerInterior()
+		if err != nil {
+			t.Fatalf("RoundLayerInterior %d: %v", l, err)
+		}
+		// The boundary slice must still hold the same records after the
+		// interior phase ran — the router reads it concurrently.
+		for i := range bndCopy {
+			if bnd[i].Node != bndCopy[i].Node || !bnd[i].New.Equal(bndCopy[i].New) || !bnd[i].Old.Equal(bndCopy[i].Old) {
+				t.Fatalf("layer %d: boundary record %d mutated by interior phase", l, i)
+			}
+		}
+		merged = append(append(merged[:0], bnd...), intr...)
 		sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
 	}
 	if err := e.FinishRound(); err != nil {
@@ -163,10 +180,16 @@ func TestRoundTimingStats(t *testing.T) {
 	merged := append([]MessageChange(nil), recs...)
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
 	for l := 0; l < model.NumLayers(); l++ {
-		out, err := ink.RoundLayer(l, merged)
+		bnd, err := ink.RoundLayerBoundary(l, merged)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := append([]MessageChange(nil), bnd...)
+		intr, err := ink.RoundLayerInterior()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, intr...)
 		st := ink.LastStageStats()
 		// All-local shard: every record is local, so no ghost rows.
 		if st.GhostRows != 0 {
@@ -208,8 +231,8 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if _, err := plain.BeginRound(nil, nil); err == nil {
 		t.Fatal("BeginRound accepted on a standalone engine")
 	}
-	if _, err := plain.RoundLayer(0, nil); err == nil {
-		t.Fatal("RoundLayer accepted without an open round")
+	if _, err := plain.RoundLayerBoundary(0, nil); err == nil {
+		t.Fatal("RoundLayerBoundary accepted without an open round")
 	}
 	if err := plain.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted without an open round")

@@ -11,45 +11,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// driveRoundSplit is driveRound over the boundary/interior split protocol:
-// every layer runs as RoundLayerBoundary followed by RoundLayerInterior,
-// with the two record slices concatenated and node-sorted like the router's
-// overlapped merge. The boundary slice must survive the interior call
-// untouched (the overlap contract), so it is only copied out afterwards.
-func driveRoundSplit(t *testing.T, e *Engine, delta graph.Delta, vups []VertexUpdate) {
-	t.Helper()
-	recs, err := e.BeginRound(delta, vups)
-	if err != nil {
-		t.Fatalf("BeginRound: %v", err)
-	}
-	merged := append([]MessageChange(nil), recs...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
-	for l := 0; l < e.model.NumLayers(); l++ {
-		bnd, err := e.RoundLayerBoundary(l, merged)
-		if err != nil {
-			t.Fatalf("RoundLayerBoundary %d: %v", l, err)
-		}
-		bndCopy := append([]MessageChange(nil), bnd...)
-		intr, err := e.RoundLayerInterior()
-		if err != nil {
-			t.Fatalf("RoundLayerInterior %d: %v", l, err)
-		}
-		// The boundary slice must still hold the same records after the
-		// interior phase ran — the router reads it concurrently.
-		for i := range bndCopy {
-			if bnd[i].Node != bndCopy[i].Node || !bnd[i].New.Equal(bndCopy[i].New) || !bnd[i].Old.Equal(bndCopy[i].Old) {
-				t.Fatalf("layer %d: boundary record %d mutated by interior phase", l, i)
-			}
-		}
-		merged = append(append(merged[:0], bnd...), intr...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].Node < merged[j].Node })
-	}
-	if err := e.FinishRound(); err != nil {
-		t.Fatalf("FinishRound: %v", err)
-	}
-	e.PublishSnapshot()
-}
-
 // TestSplitRoundMatchesApply drives an all-local partitioned engine through
 // the split-layer round protocol under an adversarial boundary mask (every
 // third vertex) and demands bitwise-identical state against a plain engine:
@@ -108,7 +69,7 @@ func TestSplitRoundMatchesApply(t *testing.T) {
 					if err := plain.Apply(delta, vups); err != nil {
 						t.Fatalf("step %d: plain Apply: %v", step, err)
 					}
-					driveRoundSplit(t, ink, expandDelta(delta), vups)
+					driveRound(t, ink, expandDelta(delta), vups)
 					if !plain.State().Equal(ink.State()) {
 						t.Fatalf("step %d: split round protocol diverged from Apply", step)
 					}
@@ -159,7 +120,7 @@ func TestSplitRoundNilMask(t *testing.T) {
 				if err := plain.Apply(delta, nil); err != nil {
 					t.Fatal(err)
 				}
-				driveRoundSplit(t, ink, expandDelta(delta), nil)
+				driveRound(t, ink, expandDelta(delta), nil)
 				if !plain.State().Equal(ink.State()) {
 					t.Fatalf("step %d: diverged (mask=%s)", step, mask)
 				}
@@ -204,9 +165,6 @@ func TestSplitRoundSequencing(t *testing.T) {
 	if _, err := ink.RoundLayerBoundary(1, nil); err == nil {
 		t.Fatal("RoundLayerBoundary accepted with the previous interior pending")
 	}
-	if _, err := ink.RoundLayer(1, nil); err == nil {
-		t.Fatal("RoundLayer accepted with an interior pending")
-	}
 	if err := ink.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted mid-split")
 	}
@@ -217,7 +175,10 @@ func TestSplitRoundSequencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 1; l < model.NumLayers(); l++ {
-		if _, err := ink.RoundLayer(l, nil); err != nil {
+		if _, err := ink.RoundLayerBoundary(l, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ink.RoundLayerInterior(); err != nil {
 			t.Fatal(err)
 		}
 	}

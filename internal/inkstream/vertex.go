@@ -45,7 +45,7 @@ func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
 	}
 	layer0 := e.model.Layers[0]
 	// Build the initial events directly in the carried-event buffers; the
-	// layer loop consumes them into the grouper before processLayer reuses
+	// layer loop consumes them into the grouper before Apply reuses
 	// the same buffers for its output.
 	evts, uevts := e.evBuf[:0], e.uevBuf[:0]
 	for _, up := range ups {

@@ -16,12 +16,12 @@ import (
 
 // ignoredFrames are substrings of stack frames that mark a goroutine as
 // process-lifetime by design, not a leak:
-//   - the tensor package's global worker pool is created once and serves
-//     every engine for the life of the process;
+//   - the tensor package's global worker pool (tensor.poolWorker) is
+//     created once and serves every engine for the life of the process;
 //   - test-runner goroutines (tRunner and friends) carry the test
 //     function's own repro frames while the test is still finishing.
 var ignoredFrames = []string{
-	"repro/internal/tensor.ensurePool",
+	"repro/internal/tensor.poolWorker",
 	"testing.tRunner",
 	"testing.(*T).Run",
 }

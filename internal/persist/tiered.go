@@ -70,6 +70,9 @@ type TieredStore struct {
 	faultLat *obs.Histogram
 
 	kick chan struct{}
+	// pass carries on-demand pass requests (syncPass): the worker runs one
+	// writeback+evict pass, then closes the request's ack channel.
+	pass chan chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -160,6 +163,7 @@ func NewTieredStore(cfg TieredConfig) (*TieredStore, error) {
 		f:        f,
 		faultLat: cfg.FaultLatency,
 		kick:     make(chan struct{}, 1),
+		pass:     make(chan chan struct{}),
 		done:     make(chan struct{}),
 	}
 	empty := []*page{}
@@ -413,14 +417,32 @@ func (st *TieredStore) worker() {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
 	for {
+		var ack chan struct{}
 		select {
 		case <-st.done:
 			return
 		case <-st.kick:
 		case <-ticker.C:
+		case ack = <-st.pass:
 		}
 		st.writebackDirty()
 		st.evictToCap()
+		if ack != nil {
+			close(ack)
+		}
+	}
+}
+
+// syncPass has the worker run one writeback+evict pass and waits until it
+// finished, so callers can drive the background duties deterministically
+// without touching worker-only state (the clock hand) themselves. It
+// returns at once if the store is closed.
+func (st *TieredStore) syncPass() {
+	ack := make(chan struct{})
+	select {
+	case st.pass <- ack:
+		<-ack
+	case <-st.done:
 	}
 }
 

@@ -87,8 +87,7 @@ func TestTieredEvictionAndFault(t *testing.T) {
 	view := st.Seal(1)
 
 	// Deterministically run the background duties: persist, then evict.
-	st.writebackDirty()
-	st.evictToCap()
+	st.syncPass()
 	s := st.Stats()
 	if s.Writebacks == 0 {
 		t.Fatal("no writebacks recorded")
@@ -272,8 +271,7 @@ func TestTieredCrashSafetyTornSlot(t *testing.T) {
 	}
 	// Persist and evict, then tear the last slot as if the process died
 	// mid-writeback.
-	st.writebackDirty()
-	st.evictToCap()
+	st.syncPass()
 	path := filepath.Join(storeDir, tieredFile)
 	info, err := os.Stat(path)
 	if err != nil {
@@ -301,7 +299,7 @@ func TestTieredCrashSafetyTornSlot(t *testing.T) {
 	}
 	if !sawError {
 		// The torn page might still be resident; force it cold and retry.
-		st.evictToCap()
+		st.syncPass()
 		if _, rerr := st.readRow(lastPage * st.PageRows()); rerr == nil {
 			t.Log("torn slot page stayed resident; fault never exercised")
 		}
@@ -399,7 +397,10 @@ func TestTieredConcurrentReadersNoTearing(t *testing.T) {
 			id := int(epoch*7+uint64(k)*11) % n
 			st.WriteRow(id, uniformRow(dim, float32(epoch)*1000+float32(id)))
 		}
-		view = st.Seal(epoch)
+		// Readers keep reading through the first view: a superseded view
+		// resolves to current data (monotone staleness), and reassigning
+		// the shared variable here would race with them.
+		st.Seal(epoch)
 	}
 	close(stop)
 	wg.Wait()
@@ -445,8 +446,7 @@ func TestTieredEngineBitExactVsResident(t *testing.T) {
 		if rs.NumNodes() != ts.NumNodes() {
 			t.Fatalf("node counts diverge: %d vs %d", rs.NumNodes(), ts.NumNodes())
 		}
-		st.writebackDirty()
-		st.evictToCap()
+		st.syncPass()
 		for i := 0; i < rs.NumNodes(); i++ {
 			if !rs.Row(i).Equal(ts.Row(i)) {
 				t.Fatalf("batch %d row %d: tiered differs from resident", batch, i)

@@ -40,11 +40,25 @@ type WAL struct {
 // /metrics exposes journal fsync behaviour.
 func (w *WAL) SetLatencyHistogram(h *obs.Histogram) { w.lat = h }
 
-// OpenWAL opens (or creates) a log for appending.
+// OpenWAL opens (or creates) a log for appending. A torn final record left
+// by a crash is cut off first, and the truncation is fsynced before any
+// append: otherwise new records would land behind the torn bytes, and the
+// torn header's length field would swallow them on the next read. A log
+// that is corrupt rather than torn is an error.
 func OpenWAL(path string) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	_, valid, torn, err := readRecords(f)
+	if err == nil && torn {
+		if err = f.Truncate(valid); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("persist: opening WAL %s: %w", path, err)
 	}
 	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
 }
@@ -159,32 +173,39 @@ func ReadWAL(path string) ([]Batch, bool, error) {
 		return nil, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	var out []Batch
+	out, _, torn, err := readRecords(f)
+	return out, torn, err
+}
+
+// readRecords decodes every complete record from r. valid is the byte
+// length of that complete prefix; torn reports a partial record after it.
+func readRecords(r io.Reader) (out []Batch, valid int64, torn bool, err error) {
+	br := bufio.NewReader(r)
 	for {
 		hdr := make([]byte, 5)
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			if err == io.EOF {
-				return out, false, nil
+				return out, valid, false, nil
 			}
-			return out, true, nil // torn header
+			return out, valid, true, nil // torn header
 		}
 		if hdr[0] != 'R' {
-			return nil, false, fmt.Errorf("persist: bad WAL record marker %q", hdr[0])
+			return nil, 0, false, fmt.Errorf("persist: bad WAL record marker %q", hdr[0])
 		}
 		n := binary.LittleEndian.Uint32(hdr[1:])
 		if n > maxElems {
-			return nil, false, fmt.Errorf("persist: implausible WAL record size %d", n)
+			return nil, 0, false, fmt.Errorf("persist: implausible WAL record size %d", n)
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return out, true, nil // torn payload
+			return out, valid, true, nil // torn payload
 		}
 		b, err := decodeBatch(payload)
 		if err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		out = append(out, b)
+		valid += int64(len(hdr)) + int64(n)
 	}
 }
 

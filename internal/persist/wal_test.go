@@ -189,3 +189,66 @@ func TestWALEmptyAndMissing(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestWALAppendAfterTornTail: records appended after a crash left a torn
+// tail must survive. OpenWAL cuts the torn bytes off before appending;
+// otherwise the torn header's length field swallows the new records.
+func TestWALAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.wal")
+	wal, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := wal.Append(graph.Delta{{U: graph.NodeID(i), V: 9, Insert: true}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A crash 7 bytes into a fourth record: its full header (declaring a
+	// 17-byte payload) and 2 payload bytes.
+	rec := append([]byte{'R', 17, 0, 0, 0}, encodeBatch(graph.Delta{{U: 7, V: 9, Insert: true}}, nil)...)
+	if len(rec) != 5+17 {
+		t.Fatalf("record is %d bytes, want 22", len(rec))
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec[:7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wal, err = OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 5; i++ {
+		if err := wal.Append(graph.Delta{{U: graph.NodeID(i), V: 9, Insert: true}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batches, torn, err := ReadWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn {
+		t.Error("torn tail still reported after reopen + appends")
+	}
+	if len(batches) != 5 {
+		t.Fatalf("read back %d batches, want 5", len(batches))
+	}
+	for i, b := range batches {
+		if len(b.Delta) != 1 || b.Delta[0].U != graph.NodeID(i) {
+			t.Fatalf("batch %d = %+v, want U=%d", i, b.Delta, i)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -20,12 +22,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/scheduler"
 )
 
-// newObsServer builds a server and returns it alongside its test listener,
-// for tests that need to configure batching, journaling or slow-update
-// logging before (re)mounting the handler.
+// newObsServer builds a server and returns it alongside its engine, for
+// tests that need to configure journaling or slow-update logging before
+// mounting the handler.
 func newObsServer(t *testing.T) (*Server, *inkstream.Engine) {
 	t.Helper()
 	leakcheck.Check(t)
@@ -173,13 +174,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsSchedulerAndWAL covers the queue-depth gauges, flush-reason
-// counters and WAL append-latency histogram.
+// TestMetricsSchedulerAndWAL covers the WAL append-latency histogram and
+// group-commit sizes, and pins that no batching-scheduler family is
+// exported: coalescing replaced the scheduler.
 func TestMetricsSchedulerAndWAL(t *testing.T) {
 	srv, eng := newObsServer(t)
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 3}); err != nil {
-		t.Fatal(err)
-	}
 	wal, err := persist.OpenWAL(filepath.Join(t.TempDir(), "wal.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -189,50 +188,25 @@ func TestMetricsSchedulerAndWAL(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	edges := absentEdges(t, eng.Graph(), 3)
-	for _, e := range edges[:2] {
-		resp := postJSON(t, ts.URL+"/v1/submit", e)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit status %d", resp.StatusCode)
-		}
+	if got, _ := scrape(t, ts.URL).Get("inkstream_wal_append_latency_seconds_count"); got != 0 {
+		t.Errorf("wal appends before any update = %v", got)
+	}
+	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: absentEdges(t, eng.Graph(), 1)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status %d", resp.StatusCode)
 	}
 	samples := scrape(t, ts.URL)
-	if got, _ := samples.Get("inkstream_scheduler_pending"); got != 2 {
-		t.Errorf("scheduler pending = %v, want 2", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_submitted_total"); got != 2 {
-		t.Errorf("scheduler submitted = %v, want 2", got)
-	}
-	// No flush yet → WAL untouched.
-	if got, _ := samples.Get("inkstream_wal_append_latency_seconds_count"); got != 0 {
-		t.Errorf("wal appends before flush = %v", got)
-	}
-
-	// Third submit hits MaxBatch: size-flush through journal + engine.
-	resp := postJSON(t, ts.URL+"/v1/submit", edges[2])
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	samples = scrape(t, ts.URL)
-	if got, _ := samples.Get("inkstream_scheduler_pending"); got != 0 {
-		t.Errorf("pending after flush = %v", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_pending_max"); got != 3 {
-		t.Errorf("pending max = %v, want 3", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_flushes_total", "reason", "size"); got != 1 {
-		t.Errorf("size flushes = %v, want 1", got)
-	}
-	if got, _ := samples.Get("inkstream_scheduler_flushes_total", "reason", "staleness"); got != 0 {
-		t.Errorf("staleness flushes = %v, want 0", got)
+	for _, sm := range samples {
+		if strings.HasPrefix(sm.Name, "inkstream_scheduler_") {
+			t.Errorf("scheduler family %s still exported", sm.Name)
+		}
 	}
 	if got, _ := samples.Get("inkstream_wal_append_latency_seconds_count"); got != 1 {
-		t.Errorf("wal appends after flush = %v, want 1", got)
+		t.Errorf("wal appends after one update = %v, want 1", got)
 	}
-	// The flushed batch rode one group commit covering one journaled
-	// request.
+	// The update rode one group commit covering one journaled request.
 	if got, _ := samples.Get("inkstream_group_commit_batch_size_count"); got != 1 {
-		t.Errorf("group commits after flush = %v, want 1", got)
+		t.Errorf("group commits = %v, want 1", got)
 	}
 	if got, _ := samples.Get("inkstream_group_commit_batch_size_sum"); got != 1 {
 		t.Errorf("group commit batch sum = %v, want 1", got)
@@ -242,32 +216,37 @@ func TestMetricsSchedulerAndWAL(t *testing.T) {
 	}
 }
 
-// TestStatsPendingAndLatency checks the /v1/stats additions: scheduler
-// queue depth and latency quantiles.
+// TestStatsPendingAndLatency checks the /v1/stats latency quantiles and
+// condition counts, and pins that the scheduler's pending/max_pending
+// fields are gone from the body.
 func TestStatsPendingAndLatency(t *testing.T) {
 	srv, eng := newObsServer(t)
-	if err := srv.EnableBatching(scheduler.Policy{MaxBatch: 100}); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	edges := absentEdges(t, eng.Graph(), 2)
-	// One direct update (records latency) and one buffered submit.
-	postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: edges[:1]})
-	postJSON(t, ts.URL+"/v1/submit", edges[1])
+	postJSON(t, ts.URL+"/v1/update", UpdateRequest{Changes: absentEdges(t, eng.Graph(), 1)})
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	stats := decode[StatsResponse](t, resp)
-	if stats.Pending != 1 {
-		t.Errorf("stats pending = %d, want 1", stats.Pending)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.MaxPending != 1 {
-		t.Errorf("stats max pending = %d, want 1", stats.MaxPending)
+	var raw map[string]json.RawMessage
+	var stats StatsResponse
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"pending", "max_pending"} {
+		if _, ok := raw[key]; ok {
+			t.Errorf("stats still report %q", key)
+		}
 	}
 	if stats.UpdateLatency.P50 <= 0 || stats.UpdateLatency.Max <= 0 {
 		t.Errorf("latency quantiles missing: %+v", stats.UpdateLatency)

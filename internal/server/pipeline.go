@@ -180,8 +180,8 @@ func (s *Server) Close() {
 }
 
 // start launches the two pipeline stages. Called once from New, after
-// every configuration field exists; SetJournal/EnableBatching remain
-// "call before serving" because the stages read those fields unlocked.
+// every configuration field exists; SetJournal remains "call before
+// serving" because the stages read that field unlocked.
 func (s *Server) start() {
 	s.wg.Add(2)
 	go s.journalLoop()

@@ -32,7 +32,7 @@
 // Observability: every server owns an obs.Observer shared with its engine
 // (per-update latency/size histograms, slow-update traces) and an
 // obs.Registry exposing them — plus the work counters, per-condition visit
-// totals, scheduler queue state, WAL commit latency, snapshot epoch/lag
+// totals, WAL commit latency, snapshot epoch/lag
 // and group-commit batch sizes — at GET /metrics.
 package server
 
@@ -50,7 +50,6 @@ import (
 	"repro/internal/inkstream"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/scheduler"
 	"repro/internal/tensor"
 )
 
@@ -81,10 +80,6 @@ type Server struct {
 	undirected  bool
 	coStalls    atomic.Int64 // fused batches flushed early by a conflict
 	coFallbacks atomic.Int64 // fused applies replayed per-request
-
-	// mu guards only the batching scheduler; the read path never takes it.
-	mu      sync.Mutex
-	batcher *scheduler.Scheduler
 
 	obs    *obs.Observer
 	reg    *obs.Registry
@@ -145,7 +140,7 @@ type BatchJournal interface {
 // publishes the initial embedding snapshot (epoch 1), and starts the
 // writer pipeline. Call Close to stop it.
 //
-// Configuration methods (SetJournal, EnableBatching, EnableSlowUpdateLog)
+// Configuration methods (SetJournal, EnableSlowUpdateLog)
 // must be called before the first request is served.
 func New(engine *inkstream.Engine, counters *metrics.Counters) *Server {
 	s := &Server{engine: engine, counters: counters}
@@ -217,8 +212,7 @@ func (s *Server) EnableSlowUpdateLog(threshold time.Duration, traceAll bool, log
 
 // buildRegistry registers every exposed family. Engine-derived values are
 // sampled from the immutable published snapshot, so scraping never
-// touches mutable engine state; only the scheduler gauges lock s.mu
-// inside their sample closure.
+// touches mutable engine state.
 func (s *Server) buildRegistry() {
 	r := s.reg
 	snap := func() *inkstream.Snapshot { return s.engine.Snapshot() }
@@ -284,7 +278,7 @@ func (s *Server) buildRegistry() {
 		"Fused applies that failed validation and were replayed request-by-request.",
 		func() float64 { return float64(s.coFallbacks.Load()) })
 	r.CounterFunc("inkstream_http_updates_served_total",
-		"Successful mutation requests (/v1/update, /v1/features, flushed /v1/submit).",
+		"Successful mutation requests (/v1/update, /v1/features).",
 		func() float64 { return float64(s.updates.Load()) })
 	if s.counters != nil {
 		r.CounterFunc("inkstream_bytes_fetched_total",
@@ -300,36 +294,6 @@ func (s *Server) buildRegistry() {
 			"InkStream propagation events consumed.",
 			func() float64 { return float64(s.counters.EventsProcessed.Load()) })
 	}
-	schedStats := func() (scheduler.Stats, int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.batcher == nil {
-			return scheduler.Stats{}, 0
-		}
-		return s.batcher.Stats(), s.batcher.Pending()
-	}
-	r.GaugeFunc("inkstream_scheduler_pending",
-		"Edge events buffered by the batching scheduler.",
-		func() float64 { _, p := schedStats(); return float64(p) })
-	r.GaugeFunc("inkstream_scheduler_pending_max",
-		"High-water mark of the scheduler pending queue.",
-		func() float64 { st, _ := schedStats(); return float64(st.MaxPending) })
-	r.CounterFunc("inkstream_scheduler_submitted_total",
-		"Edge events submitted to the batching scheduler.",
-		func() float64 { st, _ := schedStats(); return float64(st.Submitted) })
-	r.CounterFunc("inkstream_scheduler_conflicts_total",
-		"Submitted events coalesced against a pending event on the same edge.",
-		func() float64 { st, _ := schedStats(); return float64(st.Conflicts) })
-	r.LabeledCounterFunc("inkstream_scheduler_flushes_total",
-		"Scheduler flushes by trigger reason.",
-		func() []obs.LabeledValue {
-			st, _ := schedStats()
-			return obs.SortedLabeled("reason", map[string]int64{
-				"size":      int64(st.SizeFlushes),
-				"staleness": int64(st.TimeFlushes),
-				"explicit":  int64(st.ExplicitFlushes()),
-			})
-		})
 	r.Histogram("inkstream_wal_append_latency_seconds",
 		"Durability cost per WAL commit: encode, write, flush and fsync (one commit may cover a whole group).",
 		1e-9, s.walLat)
@@ -402,40 +366,6 @@ func (s *Server) SetJournal(j Journal) {
 	}
 }
 
-// deltaApplier adapts the pipeline to scheduler.Updater.
-type deltaApplier struct{ s *Server }
-
-func (a deltaApplier) Update(d graph.Delta) error { return a.s.Apply(d, nil) }
-
-// EnableBatching installs a scheduler for the /v1/submit endpoint: single
-// edge events are coalesced and flushed as ΔG batches per the policy —
-// the Fig. 7 latency/staleness trade-off made operational. The scheduler
-// inherits the engine graph's directedness, so coalescing only treats
-// (u,v) and (v,u) as the same edge on undirected graphs. Call before
-// serving. Callers should also run a periodic Tick (see Tick) so the
-// staleness deadline fires during quiet periods.
-func (s *Server) EnableBatching(p scheduler.Policy) error {
-	p.Directed = !s.engine.Graph().Undirected
-	b, err := scheduler.New(deltaApplier{s}, p)
-	if err != nil {
-		return err
-	}
-	s.batcher = b
-	return nil
-}
-
-// Tick drives the batching staleness deadline; safe to call from a
-// background goroutine. No-op when batching is disabled.
-func (s *Server) Tick() error {
-	if s.batcher == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.batcher.Tick()
-	return err
-}
-
 // Handler returns the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -449,7 +379,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/timeseries", s.handleTimeseries)
 	mux.Handle("GET /v1/alerts", s.alerts)
 	mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /debug/bundle", s.handleBundle)
 	// Unknown /v1/* paths get a typed JSON 404 instead of the mux's plain
@@ -459,34 +388,6 @@ func (s *Server) Handler() http.Handler {
 		httpError(w, http.StatusNotFound, "no %s %s endpoint", r.Method, r.URL.Path)
 	})
 	return mux
-}
-
-// SubmitResponse reports the batching state after one /v1/submit event.
-type SubmitResponse struct {
-	Flushed bool `json:"flushed"`
-	Pending int  `json:"pending"`
-}
-
-// handleSubmit enqueues a single edge event into the batching scheduler.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.batcher == nil {
-		httpError(w, http.StatusNotImplemented, "batching not enabled; use /v1/update")
-		return
-	}
-	var ch EdgeChangeJSON
-	if err := json.NewDecoder(r.Body).Decode(&ch); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding body: %v", err)
-		return
-	}
-	s.mu.Lock()
-	flushed, err := s.batcher.Submit(graph.EdgeChange{U: ch.U, V: ch.V, Insert: ch.Insert})
-	pending := s.batcher.Pending()
-	s.mu.Unlock()
-	if err != nil {
-		httpError(w, mutationStatus(err), "applying batch: %v", err)
-		return
-	}
-	writeJSON(w, SubmitResponse{Flushed: flushed, Pending: pending})
 }
 
 // VerifyResponse is the body of POST /v1/verify (both outcomes).
@@ -687,10 +588,6 @@ type StatsResponse struct {
 	UpdatesServed int64  `json:"updates_served"`
 	ReadsServed   int64  `json:"reads_served"`
 	SlowUpdates   int64  `json:"slow_updates"`
-	// Pending is the batching scheduler's queue depth (0 when batching is
-	// disabled); MaxPending its high-water mark.
-	Pending    int `json:"pending"`
-	MaxPending int `json:"max_pending"`
 	// Coalesce summarises server-side update coalescing: requests fused,
 	// engine flushes covering them, conflict stalls and replay fallbacks.
 	Coalesce      CoalesceStats    `json:"coalesce"`
@@ -703,8 +600,7 @@ type StatsResponse struct {
 }
 
 // handleStats reads everything from the published snapshot, atomics and
-// the observer — never from mutable engine state — so it stays lock-free
-// apart from the scheduler queue gauges.
+// the observer — never from mutable engine state — so it stays lock-free.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	snap := s.engine.Snapshot()
 	resp := StatsResponse{
@@ -723,12 +619,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		if n := snap.Conditions.Counts[c]; n > 0 {
 			resp.Conditions[c.String()] = n
 		}
-	}
-	if s.batcher != nil {
-		s.mu.Lock()
-		resp.Pending = s.batcher.Pending()
-		resp.MaxPending = s.batcher.Stats().MaxPending
-		s.mu.Unlock()
 	}
 	if s.counters != nil {
 		cs := s.counters.Snapshot()

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,8 @@ func testGraph(rng *rand.Rand, n, edges int) *graph.Graph {
 
 func testModel(rng *rand.Rand, name string, featLen int, kind gnn.AggKind) *gnn.Model {
 	switch name {
+	case "GCN":
+		return gnn.NewGCN(rng, featLen, 8, gnn.NewAggregator(kind))
 	case "SAGE":
 		return gnn.NewSAGE(rng, featLen, 8, gnn.NewAggregator(kind))
 	case "GIN":
@@ -38,12 +41,147 @@ func testModel(rng *rand.Rand, name string, featLen int, kind gnn.AggKind) *gnn.
 	panic("unknown model " + name)
 }
 
+// applyRef is the reference every router deployment is checked against: a
+// plain engine over the same bootstrap graph, driven by Apply and
+// publishing one snapshot per batch — the epochs a router publishes per
+// round.
+type applyRef struct {
+	t   *testing.T
+	eng *inkstream.Engine
+}
+
+func newApplyRef(t *testing.T, model *gnn.Model, g *graph.Graph, x *tensor.Matrix) *applyRef {
+	t.Helper()
+	eng, err := inkstream.New(model, g.Clone(), x.Clone(), nil, inkstream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.PublishSnapshot()
+	return &applyRef{t: t, eng: eng}
+}
+
+// apply applies one batch. vups must be sorted by node: the router orders
+// a round's feature updates that way, and accumulative sums see the
+// resulting event order.
+func (r *applyRef) apply(delta graph.Delta, vups []inkstream.VertexUpdate) {
+	r.t.Helper()
+	if err := r.eng.Apply(delta, vups); err != nil {
+		r.t.Fatalf("reference Apply: %v", err)
+	}
+	r.eng.PublishSnapshot()
+}
+
+// check demands that rt serves every vertex's reference row bitwise, at the
+// reference's epoch.
+func (r *applyRef) check(when, name string, rt *Router) {
+	r.t.Helper()
+	snap := r.eng.Snapshot()
+	for v := 0; v < snap.NumNodes(); v++ {
+		row, epoch, ok := rt.ReadEmbedding(v)
+		if !ok {
+			r.t.Fatalf("%s: node %d unreadable on %s", when, v, name)
+		}
+		if epoch != snap.Epoch {
+			r.t.Fatalf("%s: node %d on %s at epoch %d, reference at %d", when, v, name, epoch, snap.Epoch)
+		}
+		if !row.Equal(snap.Row(v)) {
+			r.t.Fatalf("%s: node %d diverged on %s at epoch %d:\nApply:  %v\nrouter: %v",
+				when, v, name, epoch, snap.Row(v), row)
+		}
+	}
+}
+
+// checkInfer checks rt against from-scratch inference over g and x: bitwise
+// for monotonic aggregators, within 2e-3 for accumulative ones.
+func checkInfer(t *testing.T, model *gnn.Model, g *graph.Graph, x *tensor.Matrix, kind gnn.AggKind, rt *Router) {
+	t.Helper()
+	want, err := gnn.Infer(model, g, x, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monotonic := kind == gnn.AggMax || kind == gnn.AggMin
+	for v := 0; v < g.NumNodes(); v++ {
+		row, _, _ := rt.ReadEmbedding(v)
+		ref := want.Output().Row(v)
+		if monotonic && !row.Equal(ref) {
+			t.Fatalf("node %d: not bit-identical to reference inference", v)
+		}
+		if !monotonic && !row.ApproxEqual(ref, 2e-3) {
+			t.Fatalf("node %d: drifted from reference inference: %v vs %v", v, row, ref)
+		}
+	}
+}
+
+// randomStep draws one stream batch over mirror: `changes` random edge changes
+// and, when withVups, feature updates of 3 distinct vertices sorted by
+// node, copied into x.
+func randomStep(rng *rand.Rand, mirror *graph.Graph, x *tensor.Matrix, changes int, withVups bool) (graph.Delta, []inkstream.VertexUpdate) {
+	delta := graph.RandomDelta(rng, mirror, changes)
+	if !withVups {
+		return delta, nil
+	}
+	nodes := rng.Perm(mirror.NumNodes())[:3]
+	sort.Ints(nodes)
+	var vups []inkstream.VertexUpdate
+	for _, v := range nodes {
+		up := inkstream.VertexUpdate{Node: graph.NodeID(v), X: tensor.RandVector(rng, x.Cols, 1)}
+		vups = append(vups, up)
+		copy(x.Row(v), up.X)
+	}
+	return delta, vups
+}
+
+// TestSingleShardMatchesApply: a 1-shard router runs the same round
+// executor as a partitioned one, with empty subscription tables. Driven by
+// a mixed add/delete/feature-update stream, it must serve exactly what a
+// plain engine driven by Apply serves — bitwise, at every epoch, for every
+// model × aggregator.
+func TestSingleShardMatchesApply(t *testing.T) {
+	for _, name := range []string{"GCN", "SAGE", "GIN"} {
+		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
+			t.Run(fmt.Sprintf("%s/%s", name, kind), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(89))
+				const n, featLen = 60, 6
+				g := testGraph(rng, n, 150)
+				x := tensor.RandMatrix(rng, n, featLen, 1)
+				model := testModel(rng, name, featLen, kind)
+
+				ref := newApplyRef(t, model, g, x)
+				rt, err := New(model, g.Clone(), x.Clone(), Config{Shards: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				ref.check("bootstrap", "1-shard", rt)
+
+				mirror, xCur := g.Clone(), x.Clone()
+				for step := 0; step < 10; step++ {
+					delta, vups := randomStep(rng, mirror, xCur, 4, step%2 == 1)
+					if err := rt.Apply(delta, vups); err != nil {
+						t.Fatalf("step %d: router apply: %v", step, err)
+					}
+					ref.apply(delta, vups)
+					if err := delta.Apply(mirror); err != nil {
+						t.Fatal(err)
+					}
+					ref.check(fmt.Sprintf("step %d", step), "1-shard", rt)
+				}
+				checkInfer(t, model, mirror, xCur, kind, rt)
+				if st := rt.Stats(); st.BoundaryRecords != 0 || st.FilteredRecords != 0 || st.GhostRows != 0 {
+					t.Fatalf("1-shard deployment exchanged records: %+v", st)
+				}
+			})
+		}
+	}
+}
+
 // TestCrossShardBitExact drives an identical add/delete/feature-update
-// stream through a 1-shard and a 4-shard deployment over a graph with a
-// nontrivial cut and demands identical embeddings for every vertex at every
-// published epoch — bitwise, for accumulative aggregators included (the
-// §11.3 exactness claim). The final state is also checked against
-// from-scratch inference on a mirror of the stream.
+// stream through 4-shard deployments, one per partition strategy, over a
+// graph with a nontrivial cut and demands the embeddings of a plain engine
+// driven by Apply for every vertex at every published epoch — bitwise, for
+// accumulative aggregators included (the §11.3 exactness claim). The final
+// state is also checked against from-scratch inference on a mirror of the
+// stream.
 func TestCrossShardBitExact(t *testing.T) {
 	for _, name := range []string{"SAGE", "GIN"} {
 		for _, kind := range []gnn.AggKind{gnn.AggMax, gnn.AggMean, gnn.AggSum} {
@@ -54,15 +192,7 @@ func TestCrossShardBitExact(t *testing.T) {
 				x := tensor.RandMatrix(rng, n, featLen, 1)
 				model := testModel(rng, name, featLen, kind)
 
-				r1, err := New(model, g.Clone(), x.Clone(), Config{Shards: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r1.Close()
-				// One deployment per partition strategy on the filtered
-				// protocol, plus the hash strategy on the legacy
-				// full-broadcast path — all must match the 1-shard
-				// reference bitwise at every epoch.
+				ref := newApplyRef(t, model, g, x)
 				type deployment struct {
 					name string
 					rt   *Router
@@ -76,12 +206,6 @@ func TestCrossShardBitExact(t *testing.T) {
 					defer rt.Close()
 					deps = append(deps, deployment{strat, rt})
 				}
-				rb, err := New(model, g.Clone(), x.Clone(), Config{Shards: 4, FullBroadcast: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rb.Close()
-				deps = append(deps, deployment{"hash/full-broadcast", rb})
 				r4 := deps[0].rt
 				for _, d := range deps {
 					if d.rt.Stats().CutFraction == 0 {
@@ -89,24 +213,10 @@ func TestCrossShardBitExact(t *testing.T) {
 					}
 				}
 
-				mirror := g.Clone()
-				xCur := x.Clone()
+				mirror, xCur := g.Clone(), x.Clone()
 				for step := 0; step < 10; step++ {
-					delta := graph.RandomDelta(rng, mirror, 4)
-					var vups []inkstream.VertexUpdate
-					if step%2 == 1 {
-						for _, v := range rng.Perm(n)[:3] {
-							up := inkstream.VertexUpdate{
-								Node: graph.NodeID(v),
-								X:    tensor.RandVector(rng, featLen, 1),
-							}
-							vups = append(vups, up)
-							copy(xCur.Row(v), up.X)
-						}
-					}
-					if err := r1.Apply(delta, vups); err != nil {
-						t.Fatalf("step %d: 1-shard apply: %v", step, err)
-					}
+					delta, vups := randomStep(rng, mirror, xCur, 4, step%2 == 1)
+					ref.apply(delta, vups)
 					for _, d := range deps {
 						if err := d.rt.Apply(delta, vups); err != nil {
 							t.Fatalf("step %d: %s apply: %v", step, d.name, err)
@@ -115,45 +225,15 @@ func TestCrossShardBitExact(t *testing.T) {
 					if err := delta.Apply(mirror); err != nil {
 						t.Fatalf("step %d: mirror apply: %v", step, err)
 					}
-					for v := 0; v < n; v++ {
-						row1, e1, ok1 := r1.ReadEmbedding(v)
-						if !ok1 {
-							t.Fatalf("step %d: node %d unreadable on 1-shard", step, v)
-						}
-						for _, d := range deps {
-							row4, e4, ok4 := d.rt.ReadEmbedding(v)
-							if !ok4 {
-								t.Fatalf("step %d: node %d unreadable on %s", step, v, d.name)
-							}
-							if e1 != e4 {
-								t.Fatalf("step %d: node %d epochs diverged on %s: %d vs %d", step, v, d.name, e1, e4)
-							}
-							if !row1.Equal(row4) {
-								t.Fatalf("step %d: node %d embeddings diverged on %s at epoch %d:\n1-shard: %v\n4-shard: %v",
-									step, v, d.name, e1, row1, row4)
-							}
-						}
+					for _, d := range deps {
+						ref.check(fmt.Sprintf("step %d", step), d.name, d.rt)
 					}
 				}
 
 				// The shared stream also has to mean the right thing: check
 				// the 4-shard deployment against from-scratch inference on
 				// the mirrored graph and features.
-				want, err := gnn.Infer(model, mirror, xCur, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				monotonic := kind == gnn.AggMax || kind == gnn.AggMin
-				for v := 0; v < n; v++ {
-					row, _, _ := r4.ReadEmbedding(v)
-					ref := want.Output().Row(v)
-					if monotonic && !row.Equal(ref) {
-						t.Fatalf("node %d: not bit-identical to reference inference", v)
-					}
-					if !monotonic && !row.ApproxEqual(ref, 2e-3) {
-						t.Fatalf("node %d: drifted from reference inference: %v vs %v", v, row, ref)
-					}
-				}
+				checkInfer(t, model, mirror, xCur, kind, r4)
 
 				st := r4.Stats()
 				if st.Shards != 4 || len(st.PerShard) != 4 {

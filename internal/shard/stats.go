@@ -45,16 +45,13 @@ type StatsResponse struct {
 	UpdatesServed   int64 `json:"updates_served"`
 	ReadsServed     int64 `json:"reads_served"`
 	// PartitionStrategy names the vertex-placement policy ("hash", "block",
-	// "greedy", or "custom" for an injected partition); FullBroadcast marks
-	// the legacy all-to-all exchange (subscription filtering off).
+	// "greedy", or "custom" for an injected partition).
 	PartitionStrategy string `json:"partition_strategy"`
-	FullBroadcast     bool   `json:"full_broadcast,omitempty"`
 	// CutFraction is the bootstrap-time fraction of arcs crossing shards;
 	// BoundaryRecords/BoundaryBytes the cumulative record deliveries to
 	// remote shards those cut arcs induced. FilteredRecords counts the
-	// remote deliveries the subscription filter suppressed (0 under full
-	// broadcast), GhostRows the ghost message rows engines adopted from the
-	// delivered records.
+	// remote deliveries the subscription filter suppressed, GhostRows the
+	// ghost message rows engines adopted from the delivered records.
 	CutFraction     float64 `json:"cut_fraction"`
 	BoundaryRecords int64   `json:"boundary_records"`
 	BoundaryBytes   int64   `json:"boundary_bytes"`
@@ -73,7 +70,7 @@ type StatsResponse struct {
 
 // RoundProfileStats is the cumulative critical-path attribution over every
 // profiled round: where BSP wall-time went (shard compute vs barrier wait),
-// how much of it the record broadcasts cost, and which shard sets the pace.
+// how much of it the record exchange cost, and which shard sets the pace.
 type RoundProfileStats struct {
 	Rounds int64 `json:"rounds"`
 	// BarrierShare is the cumulative fraction of BSP time the mean shard
@@ -83,8 +80,7 @@ type RoundProfileStats struct {
 	BroadcastShare float64 `json:"broadcast_share"`
 	// BoundaryShare is the boundary-phase fraction of split-layer compute
 	// (boundary / (boundary + interior)) across profiled rounds — how early
-	// the filtered protocol publishes its records. 0 under full broadcast
-	// (layers are not split).
+	// the protocol publishes its records.
 	BoundaryShare float64 `json:"boundary_share"`
 	// MeanStragglerSkew is the mean over rounds of max/mean shard compute
 	// (1 = perfectly balanced); Straggler the shard that was slowest most
@@ -110,7 +106,6 @@ func (rt *Router) Stats() StatsResponse {
 		UpdatesServed:     rt.updates.Load(),
 		ReadsServed:       rt.reads.Load(),
 		PartitionStrategy: rt.strategy,
-		FullBroadcast:     rt.fullBroadcast,
 		CutFraction:       rt.cut.CutFraction,
 		BoundaryRecords:   rt.boundaryRecs.Load(),
 		BoundaryBytes:     rt.boundaryBytes.Load(),
@@ -227,13 +222,13 @@ func (rt *Router) buildRegistry() {
 		"Rounds replayed from the per-shard WALs at startup.",
 		func() float64 { return float64(rt.recovered.Load()) })
 	r.CounterFunc("inkstream_boundary_records_total",
-		"Message-change records broadcast across shards for ghost-row refresh and fan-out regeneration.",
+		"Message-change records delivered across shards for ghost-row refresh and fan-out regeneration.",
 		func() float64 { return float64(rt.boundaryRecs.Load()) })
 	r.CounterFunc("inkstream_boundary_bytes_total",
-		"Payload bytes carried by cross-shard record broadcasts.",
+		"Payload bytes carried by cross-shard record deliveries.",
 		func() float64 { return float64(rt.boundaryBytes.Load()) })
 	r.CounterFunc("inkstream_filtered_records_total",
-		"Remote record deliveries suppressed by the subscription filter (0 under full broadcast).",
+		"Remote record deliveries suppressed by the subscription filter.",
 		func() float64 { return float64(rt.filteredRecs.Load()) })
 	r.CounterFunc("inkstream_ghost_rows_total",
 		"Ghost message rows engines adopted from delivered cross-shard records.",
@@ -341,7 +336,7 @@ func (rt *Router) buildRegistry() {
 		"Mean participating-shard barrier wait (stage makespan minus own compute) across profiled rounds.",
 		func() float64 { return float64(rt.barrierNS.Load()) * 1e-9 })
 	r.CounterFunc("inkstream_round_broadcast_seconds_total",
-		"Router-side record merge/broadcast time across profiled rounds.",
+		"Router-side record bucketing and sorting time across profiled rounds.",
 		func() float64 { return float64(rt.broadcastNS.Load()) * 1e-9 })
 	r.CounterFunc("inkstream_round_boundary_seconds_total",
 		"Boundary-phase shard compute across profiled rounds (filtered protocol only).",

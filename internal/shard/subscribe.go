@@ -15,17 +15,19 @@ import (
 // This file is the PR8 cross-shard seam: subscription-filtered delta
 // delivery and the boundary-first compute/exchange overlap (DESIGN.md §13).
 //
-// Under the broadcast protocol every shard receives every message-change
-// record of every round layer, even though a shard only ever reads the ghost
-// rows of vertices it has an in-arc from. The router therefore keeps, per
-// shard, a refcount of live cross-shard arcs per remote source — the shard's
-// subscriptions — and delivers each record only to its producer (fan-out
-// over its own arcs) and its subscribers (ghost refresh + fan-out). The
-// per-target event sequence each engine regenerates is unchanged: records a
-// shard never receives are exactly the records whose sources have no arc
-// into the shard, i.e. records that regenerate zero local events — so only
-// the delivery set shrinks, never the event order, and bit-exactness
-// survives (the §11.3 argument is untouched).
+// A shard only ever reads the ghost rows of vertices it has an in-arc from,
+// so broadcasting every message-change record of every round layer to every
+// shard would be waste. The router therefore keeps, per shard, a refcount of
+// live cross-shard arcs per remote source — the shard's subscriptions — and
+// delivers each record only to its producer (fan-out over its own arcs) and
+// its subscribers (ghost refresh + fan-out). The per-target event sequence
+// each engine regenerates equals a single engine's: records a shard never
+// receives are exactly the records whose sources have no arc into the
+// shard, i.e. records that regenerate zero local events — so only the
+// delivery set shrinks, never the event order, and bit-exactness survives
+// (the §11.3 argument is untouched). A 1-shard deployment has no remote
+// sources, so its tables are empty and its shard receives only its own
+// records.
 //
 // Subscriptions move with the cut: the apply goroutine folds each round's
 // arc changes into the refcounts before opening the round, and when a shard
@@ -157,7 +159,7 @@ func (rt *Router) bucketRecords(src int, recs []inkstream.MessageChange, deliv [
 	return delivered, filtered, bytes
 }
 
-// executeRoundFiltered runs one BSP round over the subscription-filtered,
+// executeRound runs one BSP round over the subscription-filtered,
 // boundary-first protocol. Per layer, every participating shard runs
 // RoundLayerBoundary (producing the records other shards wait for) and then
 // RoundLayerInterior back to back with no inter-shard barrier between the
@@ -166,9 +168,11 @@ func (rt *Router) bucketRecords(src int, recs []inkstream.MessageChange, deliv [
 // the interior compute. Shards with an empty sub-batch, an empty delivery
 // list and no carried hook events skip the layer call entirely — the idle
 // half of a partitioned deployment stops paying the lockstep tax. Values
-// are bit-exact against the broadcast path: only the delivery sets and the
-// schedule differ (DESIGN.md §13).
-func (rt *Router) executeRoundFiltered(r *round) error {
+// are bit-exact against a plain engine's Apply: only the delivery sets and
+// the schedule differ (DESIGN.md §13). A 1-shard deployment runs the same
+// protocol with empty subscription tables, calling its shard on this
+// goroutine instead of starting one per layer.
+func (rt *Router) executeRound(r *round) error {
 	n := len(rt.shards)
 	prof := r.prof
 	var durs []time.Duration
@@ -235,6 +239,27 @@ func (rt *Router) executeRoundFiltered(r *round) error {
 		bndReady := make(chan int, participants)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
+		layer := func(i int, s *shardState, l int) {
+			defer wg.Done()
+			var t0 time.Time
+			if prof != nil {
+				t0 = time.Now()
+			}
+			bnd, err := s.eng.RoundLayerBoundary(l, deliv[i])
+			rt.bndOut[i] = bnd
+			if err != nil {
+				errs[i] = err
+				bndReady <- -1
+				return
+			}
+			bndReady <- i
+			intr, err := s.eng.RoundLayerInterior()
+			rt.intrOut[i] = intr
+			errs[i] = err
+			if prof != nil {
+				durs[i] = time.Since(t0)
+			}
+		}
 		for i, s := range rt.shards {
 			if skip[i] {
 				rt.bndOut[i], rt.intrOut[i] = nil, nil
@@ -244,27 +269,13 @@ func (rt *Router) executeRoundFiltered(r *round) error {
 				continue
 			}
 			wg.Add(1)
-			go func(i int, s *shardState, l int) {
-				defer wg.Done()
-				var t0 time.Time
-				if prof != nil {
-					t0 = time.Now()
-				}
-				bnd, err := s.eng.RoundLayerBoundary(l, deliv[i])
-				rt.bndOut[i] = bnd
-				if err != nil {
-					errs[i] = err
-					bndReady <- -1
-					return
-				}
-				bndReady <- i
-				intr, err := s.eng.RoundLayerInterior()
-				rt.intrOut[i] = intr
-				errs[i] = err
-				if prof != nil {
-					durs[i] = time.Since(t0)
-				}
-			}(i, s, l)
+			if n == 1 {
+				// Nothing to overlap with: bndReady is buffered for every
+				// participant, so the inline call never blocks.
+				layer(i, s, l)
+			} else {
+				go layer(i, s, l)
+			}
 		}
 
 		// Overlapped exchange: bucket each shard's boundary records into the

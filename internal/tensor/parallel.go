@@ -82,13 +82,18 @@ func ensurePool() {
 		}
 		poolTasks = make(chan poolTask, 16*w)
 		for i := 0; i < w; i++ {
-			go func() {
-				for t := range poolTasks {
-					t.run()
-				}
-			}()
+			go poolWorker()
 		}
 	})
+}
+
+// poolWorker is one process-lifetime pool goroutine. It is a named
+// top-level function so its stack frame reads the same whatever the
+// compiler inlines around it (leakcheck ignores the pool by this frame).
+func poolWorker() {
+	for t := range poolTasks {
+		t.run()
+	}
 }
 
 // ParallelMatMul computes c = a * b, sharding rows of a across the worker

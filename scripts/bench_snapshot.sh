@@ -10,10 +10,11 @@
 #     critical-path attribution (barrier-wait share of BSP time, compute
 #     skew, straggler shard), so a flat-to-negative curve names its cause
 #     instead of just measuring it.
-#   BENCH_pr8.json — the BSP-tax A/B: the legacy hash + full-broadcast
-#     exchange against greedy partitioning + subscription-filtered,
-#     boundary-first delivery at 4 and 8 shards, with the per-round
-#     delivered-record reduction computed from the two runs.
+#   BENCH_pr8.json — greedy partitioning + subscription-filtered,
+#     boundary-first delivery at 1, 4 and 8 shards on the crowd and
+#     scatter streams. The committed file is the historical record of the
+#     A/B against the legacy full-broadcast exchange; that exchange is
+#     gone, so a re-run writes only the filtered points.
 #   BENCH_pr9.json — the tiered-store working-set sweep: the embedding
 #     footprint served at 1x/2x/4x/10x of the memory cap under a mixed
 #     update + Zipf-read stream, fp32 and int8 page encodings, every read
@@ -30,13 +31,11 @@ out=BENCH_pr4.json
 benchout=$(mktemp)
 burstout=$(mktemp)
 shardout=$(mktemp)
-bcastout=$(mktemp)
 filtout=$(mktemp)
-scbcastout=$(mktemp)
 scfiltout=$(mktemp)
 tierf32out=$(mktemp)
 tieri8out=$(mktemp)
-trap 'rm -f "$benchout" "$burstout" "$shardout" "$bcastout" "$filtout" "$scbcastout" "$scfiltout" "$tierf32out" "$tieri8out"' EXIT
+trap 'rm -f "$benchout" "$burstout" "$shardout" "$filtout" "$scfiltout" "$tierf32out" "$tieri8out"' EXIT
 
 go test -run '^$' -bench 'BenchmarkApply$|BenchmarkApplyShardedGrouping|BenchmarkApplySequentialGrouping' \
     -benchmem ./internal/inkstream | tee "$benchout"
@@ -141,32 +140,27 @@ echo "wrote $out7"
 cat "$out7"
 
 # ---------------------------------------------------------------------------
-# PR8: the BSP-tax A/B — legacy exchange (hash partition, every record
-# broadcast to every shard) against the PR8 one (greedy locality-aware
-# partition, subscription-filtered delivery with the boundary-first
-# overlap), 3 reps per point, median reported. Two workloads:
+# PR8: greedy locality-aware partitioning with subscription-filtered
+# delivery and the boundary-first overlap, 3 reps per point, median
+# reported. Two workloads:
 #   crowd   — every update touches the flash-crowd hub (the PR6/7
 #             scenario, worst case for filtering: everyone subscribes to
 #             the hub). Comparable to BENCH_pr7's barrier shares.
 #   scatter — disjoint edge streams across the graph (steady state, where
 #             locality partitioning pays off).
-# bcast-rd counts records actually delivered to remote shards per round
-# under both protocols, so the reduction columns are apples-to-apples.
-# The crowd pair runs on the quick Yelp profile (the BENCH_pr7 scenario);
-# the scatter pair on quick ogbn-products, whose sparser topology is what
-# a locality partitioner can actually exploit (greedy cut 0.23 vs the
-# dense Yelp RMAT's 0.61 at 4 shards).
+# bcast-rd counts records actually delivered to remote shards per round.
+# The crowd run uses the quick Yelp profile (the BENCH_pr7 scenario); the
+# scatter run quick ogbn-products, whose sparser topology is what a
+# locality partitioner can actually exploit (greedy cut 0.23 vs the dense
+# Yelp RMAT's 0.61 at 4 shards).
 
 out8=BENCH_pr8.json
-run8() { # run8 OUTFILE DATASET WORKLOAD PARTITION [extra flags...]
-    local f="$1" d="$2" w="$3" p="$4"; shift 4
-    go run ./cmd/inkbench -quick -datasets "$d" -burst-updates 2000 \
-        -shard-counts 1,4,8 -shard-reps 3 -shard-workload "$w" \
-        -partition "$p" "$@" shards | tee "$f"
+run8() { # run8 OUTFILE DATASET WORKLOAD PARTITION
+    go run ./cmd/inkbench -quick -datasets "$2" -burst-updates 2000 \
+        -shard-counts 1,4,8 -shard-reps 3 -shard-workload "$3" \
+        -partition "$4" shards | tee "$1"
 }
-run8 "$bcastout" YP crowd hash -full-broadcast
 run8 "$filtout" YP crowd greedy
-run8 "$scbcastout" PD scatter hash -full-broadcast
 run8 "$scfiltout" PD scatter greedy
 
 # points8 FILE — render one run's shard-scaling lines as JSON objects.
@@ -176,8 +170,8 @@ points8() {
         for (i = 1; i <= NF; i++) if (split($i, kv, "=") == 2) m[kv[1]] = kv[2]
         sub(/x$/, "", m["speedup"])
         exact = ($NF == "bit-exact") ? "true" : "false"
-        printf "%s      {\"shards\": %s, \"partition\": \"%s\", \"exchange\": \"%s\", \"reps\": %s, \"updates_per_sec\": %s, \"min_updates_per_sec\": %s, \"ack_p99\": \"%s\", \"rounds\": %s, \"cut_fraction\": %s, \"bcast_records_per_round\": %s, \"filtered_records\": %s, \"ghost_rows_per_round\": %s, \"boundary_share\": %s, \"barrier_wait_share\": %s, \"bit_exact\": %s}",
-            sep, m["shards"], m["partition"], m["exchange"], m["reps"], m["upd/s"],
+        printf "%s      {\"shards\": %s, \"partition\": \"%s\", \"reps\": %s, \"updates_per_sec\": %s, \"min_updates_per_sec\": %s, \"ack_p99\": \"%s\", \"rounds\": %s, \"cut_fraction\": %s, \"bcast_records_per_round\": %s, \"filtered_records\": %s, \"ghost_rows_per_round\": %s, \"boundary_share\": %s, \"barrier_wait_share\": %s, \"bit_exact\": %s}",
+            sep, m["shards"], m["partition"], m["reps"], m["upd/s"],
             m["min-upd/s"], m["p99"], m["rounds"], m["cut"], m["bcast-rd"],
             m["filtered-records"], m["ghost-rd"], m["boundary-share"],
             m["barrier-share"], exact
@@ -185,40 +179,19 @@ points8() {
     }' "$1"
 }
 
-# field FILE SHARDS KEY — one key=value field from one shard count's line.
-field() {
-    awk -v n="$2" -v key="$3" '/shard-scaling:/ {
-        delete m
-        for (i = 1; i <= NF; i++) if (split($i, kv, "=") == 2) m[kv[1]] = kv[2]
-        if (m["shards"] == n) { print m[key]; exit }
-    }' "$1"
-}
-
-ratio() { awk -v a="$1" -v b="$2" 'BEGIN { if (b > 0) printf "%.2f", a / b; else print 0 }'; }
-red4=$(ratio "$(field "$scbcastout" 4 bcast-rd)" "$(field "$scfiltout" 4 bcast-rd)")
-red8=$(ratio "$(field "$scbcastout" 8 bcast-rd)" "$(field "$scfiltout" 8 bcast-rd)")
-
 cat > "$out8" <<JSON
 {
   "generated_by": "scripts/bench_snapshot.sh",
   "host_cpus": $(nproc),
   "gomaxprocs": ${gmp:-0},
-  "scenario": "queue depth 8, 2000 pipelined updates per shard count, median of 3 reps; crowd pair on the quick Yelp profile (the BENCH_pr7 scenario), scatter pair on quick ogbn-products",
-  "note": "bcast_records_per_round counts records delivered to remote shards per BSP round under both exchanges; record_reduction_Ns is the full-broadcast volume over the filtered volume at N shards on the scattered-stream workload. The crowd workload reproduces the PR6/7 flash-crowd scenario on the same dataset, so its barrier_wait_share column is directly comparable to BENCH_pr7 (participant-aware: shards whose layer call was skipped contribute neither wait nor compute). On a 1-CPU host the throughput columns are time-sliced; the record and cut columns are load-independent",
-  "record_reduction_4s": ${red4:-0},
-  "record_reduction_8s": ${red8:-0},
+  "scenario": "queue depth 8, 2000 pipelined updates per shard count, median of 3 reps; crowd on the quick Yelp profile (the BENCH_pr7 scenario), scatter on quick ogbn-products",
+  "note": "bcast_records_per_round counts records delivered to remote shards per BSP round. The crowd workload reproduces the PR6/7 flash-crowd scenario on the same dataset, so its barrier_wait_share column is directly comparable to BENCH_pr7 (participant-aware: shards whose layer call was skipped contribute neither wait nor compute). On a 1-CPU host the throughput columns are time-sliced; the record and cut columns are load-independent",
   "crowd": {
-    "baseline_hash_full_broadcast": [
-$(points8 "$bcastout")
-    ],
     "greedy_filtered": [
 $(points8 "$filtout")
     ]
   },
   "scatter": {
-    "baseline_hash_full_broadcast": [
-$(points8 "$scbcastout")
-    ],
     "greedy_filtered": [
 $(points8 "$scfiltout")
     ]

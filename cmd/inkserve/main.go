@@ -69,6 +69,26 @@ func run(args []string) error {
 
 // buildServer parses flags and constructs the HTTP handler; split from run
 // so tests can exercise the full setup path without binding a port.
+// replayWAL applies the batches journaled at path (none when path is empty
+// or the log does not exist yet) to engine.
+func replayWAL(engine *inkstream.Engine, path string) error {
+	if path == "" {
+		return nil
+	}
+	batches, torn, err := persist.ReadWAL(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if err := persist.Replay(engine, batches); err != nil {
+		return err
+	}
+	log.Printf("replayed %d WAL batches (torn tail: %v)", len(batches), torn)
+	return nil
+}
+
 func buildServer(args []string) (http.Handler, string, error) {
 	fs := flag.NewFlagSet("inkserve", flag.ContinueOnError)
 	var (
@@ -237,15 +257,8 @@ func buildServer(args []string) (http.Handler, string, error) {
 		}
 		log.Printf("resumed %s over %d nodes / %d edges from %s",
 			model.Name, g.NumNodes(), g.NumEdges(), *bundle)
-		if *walPath != "" {
-			if batches, torn, err := persist.ReadWAL(*walPath); err == nil {
-				if err := persist.Replay(engine, batches); err != nil {
-					return nil, "", err
-				}
-				log.Printf("replayed %d WAL batches (torn tail: %v)", len(batches), torn)
-			} else if !os.IsNotExist(err) {
-				return nil, "", err
-			}
+		if err := replayWAL(engine, *walPath); err != nil {
+			return nil, "", err
 		}
 	} else {
 		g, feats, err := loadData(fs, *file, *name, *scale, *seed)
@@ -266,6 +279,12 @@ func buildServer(args []string) (http.Handler, string, error) {
 			return nil, "", err
 		}
 		log.Printf("initial inference done in %v", d.Elapsed())
+		// Bootstrap is deterministic, so the journal replays onto it exactly
+		// as onto a bundle — and before -save-bundle, whose bundle then
+		// covers the replayed batches the truncation below drops.
+		if err := replayWAL(engine, *walPath); err != nil {
+			return nil, "", err
+		}
 		if *saveBundle != "" {
 			if err := persist.SaveBundleFile(*saveBundle, engine.Graph(), model, engine.State()); err != nil {
 				return nil, "", err

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,6 +108,64 @@ func TestBuildServerWALRecovery(t *testing.T) {
 	if vresp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered engine failed verify: %s", vbody)
 	}
+}
+
+// TestBuildServerWALReplayWithoutBundle restarts a dataset-bootstrapped
+// server with the same -wal flag: bootstrap is deterministic, so replaying
+// the journal onto it must serve exactly the acked state again.
+func TestBuildServerWALReplayWithoutBundle(t *testing.T) {
+	args := []string{"-dataset", "PM", "-scale", "32", "-wal", filepath.Join(t.TempDir(), "updates.wal")}
+	h, _, err := buildServer(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h)
+	resp, err := http.Post(ts.URL+"/v1/update", "application/json",
+		strings.NewReader(`{"changes":[{"u":300,"v":301,"insert":true}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status %d: %s", resp.StatusCode, body)
+	}
+	before := embedding(t, ts.URL, 300)
+	ts.Close() // "crash"
+
+	var logs bytes.Buffer
+	log.SetOutput(&logs)
+	h2, _, err := buildServer(args)
+	log.SetOutput(os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logs.String(), "replayed 1 WAL batches") {
+		t.Fatalf("restart did not replay the one acked batch; log:\n%s", logs.String())
+	}
+	ts2 := httptest.NewServer(h2)
+	defer ts2.Close()
+	after := embedding(t, ts2.URL, 300)
+	if !slices.Equal(after, before) {
+		t.Fatalf("node 300 after restart = %v, served before = %v", after, before)
+	}
+}
+
+// embedding fetches one node's served embedding.
+func embedding(t *testing.T, base string, node int) []float32 {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/embedding?node=%d", base, node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Embedding []float32 `json:"embedding"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Embedding
 }
 
 func statsEdges(t *testing.T, base string) int {

@@ -34,17 +34,6 @@ type Options struct {
 	// targets (and, since it idles the worker pool, parallel sharded event
 	// routing too).
 	Sequential bool
-	// DisableShardedGrouping forces sequential event routing even for
-	// layers whose event count crosses the sharding threshold. It changes
-	// performance only: the sharded router is bit-exact with the
-	// sequential one (DESIGN.md §9).
-	DisableShardedGrouping bool
-	// ShardMinEvents is the per-layer event count at which event routing
-	// fans out across the tensor worker pool; 0 means the built-in
-	// default (512). Layers below the threshold route sequentially —
-	// the sharded path's partition passes only pay off once routing
-	// dominates.
-	ShardMinEvents int
 	// Trace, when set, is invoked once per visited node per layer with
 	// the node's classification, after that layer completes (in sorted
 	// target order, from a single goroutine). For observability and
@@ -92,36 +81,37 @@ type Engine struct {
 	// of each Apply.
 	arena vecArena
 
-	// processRange fan-in/fan-out buffers, reused across layers and
-	// Applies. outN[i]/outU[i] keep their capacity for group slot i; evBuf
-	// and uevBuf carry each layer's merged events into the next layer's
-	// grouping pass (safe to overwrite in place: the grouper has absorbed
-	// the previous layer's events before Apply merges into the buffer).
-	outN   [][]Event
+	// The open batch (stage): its edge changes and the pre-batch messages
+	// of removed-arc sources, valid until the end of Apply or FinishRound.
+	curDelta graph.Delta
+	curOld   []map[graph.NodeID]tensor.Vector
+
+	// processRange fan-in buffers, reused across layers and Applies:
+	// outR[i]/outU[i] keep their capacity for group slot i. recOut collects
+	// a layer's message-change records in target order, from which the next
+	// layer regenerates its fan-out (regenFanOut); carU carries the merged
+	// user events into the next layer (overwritten in place: the grouper
+	// has absorbed them before carryUser merges).
+	outR   [][]MessageChange
 	outU   [][]UserEvent
 	conds  []Condition
-	evBuf  []Event
-	uevBuf []UserEvent
+	recOut []MessageChange
+	carU   []UserEvent
 
 	// Partitioned-mode state (partition.go). partLocal non-nil switches the
 	// engine into shard mode: Apply is disabled in favour of the round
 	// protocol (BeginRound, RoundLayerBoundary + RoundLayerInterior per
-	// layer, FinishRound), and processTarget captures message-change
-	// records into outR/partRecOut instead of fanning events out locally.
+	// layer, FinishRound), whose records the router also delivers to the
+	// subscribing shards.
 	partLocal  []bool
 	partActive bool
-	partDelta  graph.Delta
-	partOld    []map[graph.NodeID]tensor.Vector
-	partCarU   []UserEvent
-	partRecOut []MessageChange
-	outR       [][]MessageChange
 
 	// Boundary-first overlap state (partition.go). partBoundary marks the
 	// local vertices with at least one remote subscriber; RoundLayerBoundary
 	// stashes the layer's groups (reordered boundary-first) plus the split
 	// point so RoundLayerInterior can finish the layer while the router
 	// exchanges the boundary records. partRecB is the interior phase's
-	// record buffer — the boundary phase's slice (partRecOut) is still being
+	// record buffer — the boundary phase's slice (recOut) is still being
 	// read by the router while the interior computes, so the two phases
 	// must not share backing storage.
 	partBoundary  []bool
@@ -140,9 +130,12 @@ type Engine struct {
 	lastStage   RoundStageStats
 
 	// routeN stages one layer's full native event list (changed-edge events
-	// plus carried events) ahead of grouping, so the sharded router can
+	// plus the record fan-out) ahead of grouping, so the sharded router can
 	// partition it; reused across layers and Applies.
 	routeN []Event
+	// shardThreshold overrides defaultShardThreshold when positive; tests
+	// set it to force either grouping route.
+	shardThreshold int
 
 	// scratchPools[l] recycles processTarget worker scratch for layer l.
 	scratchPools []sync.Pool
@@ -338,7 +331,9 @@ func (e *Engine) Update(delta graph.Delta) error { return e.Apply(delta, nil) }
 func (e *Engine) UpdateVertices(ups []VertexUpdate) error { return e.Apply(nil, ups) }
 
 // Apply processes edge changes and vertex-feature updates as one batch
-// between two timestamps.
+// between two timestamps. It is the round protocol with every vertex local:
+// the same staging step as BeginRound, then per layer the same staging and
+// grouping as RoundLayerBoundary and one processRange over every target.
 func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 	// Observability: with an observer installed, every phase below is
 	// timed into the engine-owned reusable trace (no allocation) and the
@@ -348,102 +343,46 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 	if e.partLocal != nil {
 		return errPartitioned
 	}
-	observing := e.obs != nil
+	var tr *obs.Trace
 	var t0, phase0 time.Time
-	if observing {
+	if e.obs != nil {
+		tr = &e.trace
 		t0 = time.Now()
 	}
-	if err := delta.Validate(e.g); err != nil {
+	recs, err := e.stage(delta, vups, tr)
+	if err != nil {
 		return err
 	}
-	if err := e.validateVertexUpdates(vups); err != nil {
-		return err
-	}
-	L := e.model.NumLayers()
-	if observing {
-		e.trace.Reset(L)
-		e.trace.DeltaEdges = len(delta)
-		e.trace.VertexUpdates = len(vups)
-		phase0 = time.Now()
-	}
 
-	// Rewind the payload arena: every payload from the previous Apply is
-	// dead by now (groups and event buffers only reuse, never re-read).
-	e.arena.reset()
-
-	// Snapshot m⁻_{l,u} for every layer for the sources of removed arcs:
-	// their Del payloads must be the previous-timestamp messages even if
-	// the source is updated while processing an earlier layer. Taken
-	// before any mutation.
-	oldMsg := e.snapshotRemovedSources(delta)
-
-	// Record which arcs are inserted (propagation from an affected source
-	// skips them — the changed-edge event carries the new message already)
-	// and per-node in-degree deltas (the mean aggregator's incremental
-	// formula needs the previous degree).
-	e.indexDeltaArcs(delta)
-
-	if err := delta.Apply(e.g); err != nil {
-		return err // unreachable after Validate, but fail safe
-	}
-	if observing {
-		e.trace.DeltaApply = time.Since(phase0)
-		phase0 = time.Now()
-	}
-
-	// Vertex updates produce the initial layer-0 events.
-	carried, carriedUser := e.applyVertexUpdates(vups)
-	if observing {
-		e.trace.VertexApply = time.Since(phase0)
-	}
-
-	// Changed-edge events are re-enqueued at every layer; precompute the
-	// per-layer count once for the trace.
-	nArcs := len(delta)
+	// Changed-edge events are re-staged at every layer; the rest of a
+	// layer's native input is the fan-out of the previous layer's records.
+	nArcs := int64(len(delta))
 	if e.g.Undirected {
 		nArcs *= 2
 	}
-
-	for l := 0; l < L; l++ {
-		var span *obs.LayerSpan
+	for l := 0; l < e.model.NumLayers(); l++ {
 		var bytes0 int64
 		var conds0 ConditionStats
-		if observing {
-			span = &e.trace.Layers[l]
-			span.EventsIn = int64(nArcs + len(carried))
-			span.UserEventsIn = int64(len(carriedUser))
+		if tr != nil {
+			tr.Layers[l].UserEventsIn = int64(len(e.carU))
 			if e.c != nil {
 				bytes0 = e.c.BytesFetched.Load()
 			}
 			conds0 = e.layerStats[l]
 			phase0 = time.Now()
 		}
-		// Stage the layer's full native event list — changed-edge events
-		// first, then the carried events, matching the historical arrival
-		// order — and group it.
-		e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, delta, oldMsg)
-		fetched := 0
-		for _, ev := range carried {
-			fetched += len(ev.Payload)
-		}
-		e.c.FetchVec(fetched)
-		e.routeN = append(e.routeN, carried...)
-		groups := e.groupLayer(l, e.routeN, carriedUser)
-		e.processRange(l, groups, 0, len(groups))
-		// Merge the per-target fan-out into the carried-event buffers in
-		// sorted-target order. The buffers may still hold the events carried
-		// INTO this layer, but the grouper consumed those already, so
-		// overwriting them in place is safe.
-		nextN, nextU := e.evBuf[:0], e.uevBuf[:0]
-		for i := range groups {
-			nextN = append(nextN, e.outN[i]...)
-			nextU = append(nextU, e.outU[i]...)
-		}
-		e.evBuf, e.uevBuf = nextN, nextU
-		carried, carriedUser = nextN, nextU
-		if observing {
+		groups := e.stageLayer(l, recs)
+		e.recOut = e.processRange(l, groups, 0, len(groups), e.recOut[:0])
+		e.carryUser(groups, len(groups))
+		recs = e.recOut
+		if tr != nil {
+			span := &tr.Layers[l]
 			span.Elapsed = time.Since(phase0)
-			span.EventsOut = int64(len(carried))
+			span.EventsIn = int64(len(e.routeN))
+			if l > 0 {
+				// Layer l-1's fan-out is built when layer l stages.
+				tr.Layers[l-1].EventsOut = span.EventsIn - nArcs
+			}
 			if e.c != nil {
 				span.BytesFetched = e.c.BytesFetched.Load() - bytes0
 			}
@@ -454,12 +393,119 @@ func (e *Engine) Apply(delta graph.Delta, vups []VertexUpdate) error {
 			}
 		}
 	}
-	if observing {
-		e.trace.Total = time.Since(t0)
-		e.obs.RecordUpdate(&e.trace)
+	e.curDelta, e.curOld, e.carU = nil, nil, e.carU[:0]
+	if tr != nil {
+		tr.Total = time.Since(t0)
+		e.obs.RecordUpdate(tr)
 	}
 	e.snap.applied++
 	return nil
+}
+
+// stage opens one batch, for Apply and BeginRound alike: it validates the
+// edge changes and vertex updates, rewinds the payload arena, snapshots the
+// pre-batch messages of removed-arc sources, indexes the inserted arcs and
+// in-degree deltas, mutates the graph and applies the vertex updates. It
+// returns the layer-0 message-change records of the feature updates. On
+// validation error nothing is mutated. A non-nil tr is reset and receives
+// the batch size and the phase timings.
+func (e *Engine) stage(delta graph.Delta, vups []VertexUpdate, tr *obs.Trace) ([]MessageChange, error) {
+	if err := delta.Validate(e.g); err != nil {
+		return nil, err
+	}
+	if err := e.validateVertexUpdates(vups); err != nil {
+		return nil, err
+	}
+	var t0 time.Time
+	if tr != nil {
+		tr.Reset(e.model.NumLayers())
+		tr.DeltaEdges = len(delta)
+		tr.VertexUpdates = len(vups)
+		t0 = time.Now()
+	}
+
+	// Rewind the payload arena: every payload from the previous batch is
+	// dead by now (groups and event buffers only reuse, never re-read).
+	e.arena.reset()
+	// Snapshot m⁻_{l,u} for every layer for the sources of removed arcs
+	// (ghost rows included — they still hold last round's values here):
+	// their Del payloads must be the previous-timestamp messages even if the
+	// source is updated while processing an earlier layer. Taken before any
+	// mutation.
+	e.curOld = e.snapshotRemovedSources(delta)
+	e.indexDeltaArcs(delta)
+	if err := delta.Apply(e.g); err != nil {
+		return nil, err // unreachable after Validate, but fail safe
+	}
+	e.curDelta = delta
+	if tr != nil {
+		tr.DeltaApply = time.Since(t0)
+		t0 = time.Now()
+	}
+	recs := e.applyVertexUpdates(vups)
+	if tr != nil {
+		tr.VertexApply = time.Since(t0)
+	}
+	return recs, nil
+}
+
+// stageLayer builds and groups layer l's native event list, for Apply and
+// RoundLayerBoundary alike. recs are the node-sorted message-change records
+// of the previous layer (of the vertex updates, for l == 0). In partitioned
+// mode the remote records first refresh their ghost message rows. The list
+// is the changed-edge events in batch order, then the fan-out of recs in
+// node order — with every vertex local, exactly the order in which layer
+// l-1 processed its targets.
+func (e *Engine) stageLayer(l int, recs []MessageChange) []*group {
+	if e.partLocal != nil {
+		// Ghost refresh: adopt the remote shards' message changes before
+		// any event references M[l]. Local records are this engine's own
+		// rows — already current.
+		var t0 time.Time
+		if e.roundTiming {
+			t0 = time.Now()
+		}
+		ghosts := 0
+		for _, r := range recs {
+			if e.partLocal[r.Node] {
+				continue
+			}
+			e.state.M[l].SetRow(int(r.Node), r.New)
+			e.c.StoreVec(len(r.New))
+			ghosts++
+		}
+		if e.roundTiming {
+			e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(t0)}
+		}
+	}
+	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.curDelta, e.curOld)
+	e.routeN = e.regenFanOut(e.routeN, l, recs)
+	return e.groupLayer(l, e.routeN, e.carU)
+}
+
+// carryUser merges the per-slot user events of a processed layer into the
+// list carried into the next layer, in global target order. groups[:split]
+// and groups[split:] are each sorted by target (Apply passes an empty
+// second run), so a two-way merge reproduces the unsplit order.
+func (e *Engine) carryUser(groups []*group, split int) {
+	uev := e.carU[:0]
+	i, j := 0, split
+	for i < split && j < len(groups) {
+		if groups[i].target < groups[j].target {
+			uev = append(uev, e.outU[i]...)
+			i++
+		} else {
+			uev = append(uev, e.outU[j]...)
+			j++
+		}
+	}
+	for ; i < split; i++ {
+		uev = append(uev, e.outU[i]...)
+	}
+	for ; j < len(groups); j++ {
+		uev = append(uev, e.outU[j]...)
+	}
+	e.carU = uev
 }
 
 // AppliedBatches returns the number of successfully applied batches —
@@ -488,12 +534,12 @@ func (e *Engine) arcsOf(ch graph.EdgeChange) (arcs [2][2]graph.NodeID, n int) {
 // the power-of-two block partition — capped at maxShards so the per-chunk
 // count matrix of the partition passes stays small.
 func (e *Engine) shardCount(nEvents int) int {
-	if e.opts.Sequential || e.opts.DisableGrouping || e.opts.DisableShardedGrouping {
+	if e.opts.Sequential || e.opts.DisableGrouping {
 		return 1
 	}
-	minEv := e.opts.ShardMinEvents
+	minEv := e.shardThreshold
 	if minEv <= 0 {
-		minEv = defaultShardMinEvents
+		minEv = defaultShardThreshold
 	}
 	if nEvents < minEv {
 		return 1
@@ -507,22 +553,15 @@ func (e *Engine) shardCount(nEvents int) int {
 		// parallelism — the direct sequential grouper is strictly better.
 		return 1
 	}
-	s := 2 * w
-	if s > maxShards {
-		s = maxShards
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
+	return min(2*w, maxShards)
 }
 
 const (
-	// defaultShardMinEvents gates the sharded router: below this many
+	// defaultShardThreshold gates the sharded router: below this many
 	// events per layer, sequential routing wins (the partition passes and
 	// pool handoff cost more than they save). Same spirit as
 	// tensor.MinChunkWork, measured in events rather than grain units.
-	defaultShardMinEvents = 512
+	defaultShardThreshold = 512
 	// maxShards bounds the shard count (and must stay ≤ 256: the
 	// partition records shard owners in a uint8).
 	maxShards = 32
@@ -533,14 +572,7 @@ const (
 // nil without touching the tables; the per-layer maps and the clones are
 // reused storage, valid only until the next Apply.
 func (e *Engine) snapshotRemovedSources(delta graph.Delta) []map[graph.NodeID]tensor.Vector {
-	hasDel := false
-	for _, ch := range delta {
-		if !ch.Insert {
-			hasDel = true
-			break
-		}
-	}
-	if !hasDel {
+	if !slices.ContainsFunc(delta, func(ch graph.EdgeChange) bool { return !ch.Insert }) {
 		return nil
 	}
 	L := e.model.NumLayers()
@@ -577,7 +609,7 @@ func (e *Engine) snapshotRemovedSources(delta graph.Delta) []map[graph.NodeID]te
 // cancelling the old message m⁻_{l,u} at v; for an inserted arc (s,t) an
 // event adding the current message m_{l,s} — which the previous layer's
 // processing has already refreshed if s was affected. Events are appended
-// to evts (rather than routed into the grouper directly) so Apply can
+// to evts (rather than routed into the grouper directly) so stageLayer can
 // hand the complete list to either the sequential or the sharded router.
 func (e *Engine) appendChangedEdgeEvents(evts []Event, l int, delta graph.Delta, oldMsg []map[graph.NodeID]tensor.Vector) []Event {
 	agg := e.model.Layers[l].Agg()
@@ -648,33 +680,31 @@ func (e *Engine) groupLayer(l int, native []Event, user []UserEvent) []*group {
 
 // processRange runs processTarget over groups[lo:hi] (parallel unless the
 // engine is sequential): it updates each target's α (incrementally where
-// eligible), recomputes the layer output for affected targets, and emits
-// the next layer's events into the per-slot outN/outU buffers and, in
-// partitioned mode, its message-change records into outR. Targets are
-// independent after grouping, so they run in parallel; the range's records
-// and conditions are then merged in group order (sorted by target), so a
-// round's record list comes out sorted by source node. Carried events stay
-// in the slot buffers for the caller to merge.
-func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
+// eligible), recomputes the layer output for affected targets, and captures
+// each changed next-layer message as a record in the per-slot outR buffer.
+// Targets are independent after grouping, so they run in parallel; the
+// range's records and conditions are then merged in group order (sorted by
+// target), so the records appended to recs come out sorted by source node.
+// Carried user events stay in the slot buffers for carryUser.
+func (e *Engine) processRange(l int, groups []*group, lo, hi int, recs []MessageChange) []MessageChange {
 	n := len(groups)
-	// Grow the per-group fan-out tables to n slots, keeping each slot's
-	// accumulated capacity across layers and Apply calls.
-	for len(e.outN) < n {
-		e.outN = append(e.outN, nil)
-		e.outU = append(e.outU, nil)
+	// Grow the per-group tables to n slots, keeping each slot's accumulated
+	// capacity across layers and Apply calls.
+	for len(e.outR) < n {
 		e.outR = append(e.outR, nil)
+		e.outU = append(e.outU, nil)
 	}
 	if cap(e.conds) < n {
 		e.conds = make([]Condition, n)
 		e.dirt = make([]bool, n)
 	}
 	conds, dirt := e.conds[:n], e.dirt[:n]
-	outN, outU, outR := e.outN, e.outU, e.outR
+	outU, outR := e.outU, e.outR
 	body := func(a, b int) {
 		// Per-chunk scratch, recycled across chunks, layers and Applies.
 		sc := e.getScratch(l)
 		for i := lo + a; i < lo+b; i++ {
-			outN[i], outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outN[i][:0], outU[i][:0], outR[i][:0])
+			outU[i], outR[i], conds[i], dirt[i] = e.processTarget(l, groups[i], sc, outU[i][:0], outR[i][:0])
 		}
 		e.scratchPools[l].Put(sc)
 	}
@@ -684,7 +714,7 @@ func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 		tensor.ParallelForGrain(hi-lo, 4*e.model.Layers[l].MsgDim(), body)
 	}
 	for i := lo; i < hi; i++ {
-		e.partRecOut = append(e.partRecOut, outR[i]...)
+		recs = append(recs, outR[i]...)
 		e.stats.Add(conds[i])
 		e.layerStats[l].Add(conds[i])
 		if dirt[i] {
@@ -694,6 +724,7 @@ func (e *Engine) processRange(l int, groups []*group, lo, hi int) {
 			e.opts.Trace(l, groups[i].target, conds[i])
 		}
 	}
+	return recs
 }
 
 // getScratch fetches (or lazily builds) worker scratch for layer l.
@@ -722,14 +753,14 @@ func newScratch(layer gnn.Layer) *scratch {
 }
 
 // processTarget handles all events heading to one node in one layer:
-// Algorithm 1 lines 4–21 plus the user-hook application and the next-layer
-// propagation of Sec. II-B2. Emitted events are appended to evts/uevts
-// (reusable buffers owned by the caller's group slot); in partitioned mode
-// the local fan-out is replaced by a message-change record appended to recs
-// (partition.go). The final bool reports whether the write landed in the
-// final layer with a changed value — i.e. whether the served embedding row
-// is now dirty.
-func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts []UserEvent, recs []MessageChange) ([]Event, []UserEvent, []MessageChange, Condition, bool) {
+// Algorithm 1 lines 4–21 plus the user-hook application. A changed
+// next-layer message is appended to recs as a MessageChange record, from
+// which the next layer's staging regenerates the fan-out of Sec. II-B2
+// (regenFanOut); hook events are appended to uevts. Both are reusable
+// buffers owned by the caller's group slot. The final bool reports whether
+// the write landed in the final layer with a changed value — i.e. whether
+// the served embedding row is now dirty.
+func (e *Engine) processTarget(l int, g *group, sc *scratch, uevts []UserEvent, recs []MessageChange) ([]UserEvent, []MessageChange, Condition, bool) {
 	layer := e.model.Layers[l]
 	agg := layer.Agg()
 	u := g.target
@@ -764,7 +795,7 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 		if g.hasNative() {
 			cond = CondPruned
 		}
-		return evts, uevts, recs, cond, false
+		return uevts, recs, cond, false
 	}
 
 	// Recompute the layer output h_{l+1,u} = act(𝒯(α, m)) from the
@@ -784,68 +815,25 @@ func (e *Engine) processTarget(l int, g *group, sc *scratch, evts []Event, uevts
 	if !hChanged && !e.opts.DisablePruning {
 		// The embedding survived the α change (e.g. clamped by ReLU):
 		// the node is resilient at the output level; prune.
-		return evts, uevts, recs, cond, false
+		return uevts, recs, cond, false
 	}
 	if l+1 >= e.model.NumLayers() {
-		return evts, uevts, recs, cond, outChanged
+		return uevts, recs, cond, outChanged
 	}
 
-	// Refresh the node's next-layer message and fan out events. oldM (and
-	// the fan-out diff) escape into event payloads shared by every event
-	// from this node — the paper's one-payload-per-source memory model —
-	// and live on the Apply-scoped arena.
+	// Refresh the node's next-layer message and record the change. oldM
+	// escapes into the next layer's event payloads, shared by every event
+	// from this node — the paper's one-payload-per-source memory model — and
+	// lives on the Apply-scoped arena.
 	next := e.model.Layers[l+1]
 	mRow := e.state.M[l+1].Row(int(u))
 	oldM := e.arena.clone(mRow)
 	next.ComputeMessage(mRow, hRow)
 	gnn.CountMessage(e.c, next)
 	if oldM.Equal(mRow) && !e.opts.DisablePruning {
-		return evts, uevts, recs, cond, false
+		return uevts, recs, cond, false
 	}
-	if e.partActive {
-		// Partitioned mode: the router delivers the message change to
-		// this shard and every subscriber, which regenerate the fan-out
-		// over their own arcs (RoundLayerBoundary) — including this one.
-		// Local fan-out here would double-apply the change to local
-		// out-neighbors.
-		recs = append(recs, MessageChange{Node: u, Old: oldM, New: mRow})
-	} else {
-		evts = e.fanOut(u, next.Agg(), oldM, mRow, evts)
-	}
+	recs = append(recs, MessageChange{Node: u, Old: oldM, New: mRow})
 	uevts = append(uevts, e.hooks.Propagate(l, u, oldM, mRow)...)
-	return evts, uevts, recs, cond, false
-}
-
-// fanOut builds the next-layer events from node u to its current
-// out-neighbors, skipping arcs inserted in this batch (their changed-edge
-// events already carry the new message — the duplicate-event rule of
-// Sec. II-B2).
-func (e *Engine) fanOut(u graph.NodeID, nextAgg gnn.Aggregator, oldM, newM tensor.Vector, evts []Event) []Event {
-	nbrs := e.g.OutNeighbors(u)
-	if len(nbrs) == 0 {
-		return evts
-	}
-	// Reserve the worst-case capacity up front: high-degree fan-out would
-	// otherwise pay repeated slice growth inside the per-neighbor loop.
-	var diff tensor.Vector
-	if nextAgg.Monotonic() {
-		evts = slices.Grow(evts, 2*len(nbrs))
-	} else {
-		evts = slices.Grow(evts, len(nbrs))
-		diff = e.arena.alloc(len(newM))
-		tensor.Sub(diff, newM, oldM)
-	}
-	for _, v := range nbrs {
-		if _, skip := e.insArcs[[2]graph.NodeID{u, v}]; skip {
-			continue
-		}
-		if nextAgg.Monotonic() {
-			evts = append(evts,
-				Event{Op: OpDel, Target: v, Payload: e.payload(oldM)},
-				Event{Op: OpAdd, Target: v, Payload: e.payload(newM)})
-		} else {
-			evts = append(evts, Event{Op: OpUpdate, Target: v, Payload: e.payload(diff)})
-		}
-	}
-	return evts
+	return uevts, recs, cond, false
 }

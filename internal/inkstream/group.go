@@ -121,9 +121,6 @@ func (gr *grouper) begin(dim int) {
 // the 2×-workers shard count (see Engine.shardCount) absorbs.
 func (gr *grouper) beginSharded(dim, S int) {
 	gr.begin(dim)
-	if S < 1 {
-		S = 1
-	}
 	for len(gr.shards) < S {
 		gr.shards = append(gr.shards, gshard{})
 	}

@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -59,21 +60,22 @@ func TestShardedGroupingEquivalence(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			build := func(opts Options) (*Engine, *tensor.Matrix) {
+			build := func(shardThreshold int) (*Engine, *tensor.Matrix) {
 				rng := rand.New(rand.NewSource(99))
 				g := randomGraph(rng, 400, 1600)
 				x := tensor.RandMatrix(rng, 400, 6, 1)
 				model := gnn.NewGIN(rng, 6, 8, 3, gnn.NewAggregator(kind))
-				e, err := New(model, g, x, nil, opts)
+				e, err := New(model, g, x, nil, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				e.shardThreshold = shardThreshold
 				return e, x
 			}
-			// ShardMinEvents 1 forces the sharded router on every layer of
+			// A threshold of 1 forces the sharded router on every layer of
 			// the first engine; the second always routes sequentially.
-			sharded, _ := build(Options{ShardMinEvents: 1})
-			seq, _ := build(Options{DisableShardedGrouping: true})
+			sharded, _ := build(1)
+			seq, _ := build(math.MaxInt)
 			drng := rand.New(rand.NewSource(5))
 			for batch := 0; batch < 4; batch++ {
 				delta := graph.RandomDelta(drng, sharded.Graph(), 80)
@@ -102,10 +104,11 @@ func TestShardedGrouperStress(t *testing.T) {
 	g := randomGraph(rng, 600, 3000)
 	x := tensor.RandMatrix(rng, 600, 8, 1)
 	model := gnn.NewGIN(rng, 8, 16, 3, gnn.NewAggregator(gnn.AggMax))
-	e, err := New(model, g, x, nil, Options{ShardMinEvents: 1})
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.shardThreshold = 1
 	batches := 12
 	if testing.Short() {
 		batches = 4
@@ -122,17 +125,18 @@ func TestShardedGrouperStress(t *testing.T) {
 }
 
 // benchApplyGrouping measures Apply over large deltas with the given
-// routing options; the delta stream is pre-generated and replayed as
+// sharded-routing threshold (0 = default); the delta stream is pre-generated and replayed as
 // insert/delete toggles so every iteration does identical work.
-func benchApplyGrouping(b *testing.B, opts Options) {
+func benchApplyGrouping(b *testing.B, shardThreshold int) {
 	rng := rand.New(rand.NewSource(23))
 	g := randomGraph(rng, 4000, 20_000)
 	x := tensor.RandMatrix(rng, 4000, 16, 1)
 	model := gnn.NewGIN(rng, 16, 32, 3, gnn.NewAggregator(gnn.AggMax))
-	e, err := New(model, g, x, nil, opts)
+	e, err := New(model, g, x, nil, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e.shardThreshold = shardThreshold
 	// An alternating insert/remove pair over a fixed edge set keeps the
 	// graph (and thus per-iteration work) stable.
 	var absent graph.Delta
@@ -163,9 +167,9 @@ func benchApplyGrouping(b *testing.B, opts Options) {
 }
 
 func BenchmarkApplyShardedGrouping(b *testing.B) {
-	benchApplyGrouping(b, Options{})
+	benchApplyGrouping(b, 0)
 }
 
 func BenchmarkApplySequentialGrouping(b *testing.B) {
-	benchApplyGrouping(b, Options{DisableShardedGrouping: true})
+	benchApplyGrouping(b, math.MaxInt)
 }

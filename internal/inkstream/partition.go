@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -17,16 +16,16 @@ import (
 // In partitioned mode one engine owns a subset of the vertices. It holds
 // full-size state matrices, but only the rows of local vertices are
 // authoritative; message rows of remote vertices are ghost rows, refreshed
-// from delivered message-change records at the start of every layer. The
-// engine never fans events out itself — processTarget captures a
-// MessageChange record per affected source instead, the router delivers the
-// records to their producer and subscribers in node order, and every shard
-// regenerates the fan-out over its own in-arcs (RoundLayerBoundary).
-// Because a shard graph holds every in-arc of every local vertex, the
-// regenerated per-target event sequence is exactly the single-engine
-// sequence restricted to local targets, in the same arrival order — which
-// is what makes N-shard results bit-exact against Apply on a single engine
-// (see DESIGN.md §11.3).
+// from delivered message-change records at the start of every layer. Every
+// layer ends in a MessageChange record per affected source (processTarget);
+// the router delivers the records to their producer and subscribers in node
+// order, and every shard regenerates the fan-out over its own in-arcs
+// (stageLayer). Apply runs the same steps with every vertex local and its own
+// records delivered back to itself. Because a shard graph holds every in-arc
+// of every local vertex, the regenerated per-target event sequence is
+// exactly the single-engine sequence restricted to local targets, in the
+// same arrival order — which is what makes N-shard results bit-exact against
+// Apply on a single engine (see DESIGN.md §11.3).
 
 var errPartitioned = errors.New("inkstream: engine is in partitioned mode; use BeginRound/RoundLayerBoundary/RoundLayerInterior/FinishRound via the shard router")
 
@@ -101,33 +100,11 @@ func (e *Engine) BeginRound(delta graph.Delta, vups []VertexUpdate) ([]MessageCh
 	if e.partActive {
 		return nil, errors.New("inkstream: BeginRound with a round already open")
 	}
-	if err := delta.Validate(e.g); err != nil {
+	recs, err := e.stage(delta, vups, nil)
+	if err != nil {
 		return nil, err
 	}
-	if err := e.validateVertexUpdates(vups); err != nil {
-		return nil, err
-	}
-	for i, up := range vups {
-		if !e.partLocal[up.Node] {
-			return nil, fmt.Errorf("inkstream: vertex update %d targets remote node %d", i, up.Node)
-		}
-	}
-
-	// Same staging as Apply: rewind the payload arena, snapshot the
-	// pre-round messages of removed-arc sources (ghost rows included —
-	// they still hold last round's values here), index inserted arcs and
-	// in-degree deltas, then mutate the shard graph.
-	e.arena.reset()
-	e.partOld = e.snapshotRemovedSources(delta)
-	e.indexDeltaArcs(delta)
-	if err := delta.Apply(e.g); err != nil {
-		return nil, err // unreachable after Validate, but fail safe
-	}
-	e.partDelta = delta
 	e.partActive = true
-
-	recs, carU := e.applyVertexUpdatesCapture(vups)
-	e.partCarU = carU
 	if e.roundTiming {
 		e.lastStage = RoundStageStats{Events: len(recs)}
 	}
@@ -180,33 +157,9 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 		return nil, fmt.Errorf("inkstream: RoundLayerBoundary layer %d out of range [0,%d)", l, e.model.NumLayers())
 	}
 
-	// Ghost refresh: adopt the remote shards' message changes before any
-	// event references M[l]. Local records are this engine's own rows —
-	// already current.
-	var ghostStart time.Time
+	groups := e.stageLayer(l, recs)
 	if e.roundTiming {
-		ghostStart = time.Now()
-	}
-	ghosts := 0
-	for _, r := range recs {
-		if e.partLocal[r.Node] {
-			continue
-		}
-		e.state.M[l].SetRow(int(r.Node), r.New)
-		e.c.StoreVec(len(r.New))
-		ghosts++
-	}
-	if e.roundTiming {
-		e.lastStage = RoundStageStats{GhostRows: ghosts, Ghost: time.Since(ghostStart)}
-	}
-
-	// Stage the layer's native event list exactly as Apply does: changed-
-	// edge events first, then the fan-out of this layer's message changes.
-	e.routeN = e.appendChangedEdgeEvents(e.routeN[:0], l, e.partDelta, e.partOld)
-	e.routeN = e.regenFanOut(e.routeN, l, recs)
-	groups := e.groupLayer(l, e.routeN, e.partCarU)
-	if e.roundTiming {
-		e.lastStage.Events = len(e.routeN) + len(e.partCarU)
+		e.lastStage.Events = len(e.routeN) + len(e.carU)
 	}
 
 	split := len(groups)
@@ -233,15 +186,14 @@ func (e *Engine) RoundLayerBoundary(l int, recs []MessageChange) ([]MessageChang
 	if e.roundTiming {
 		t0 = time.Now()
 	}
-	e.partRecOut = e.partRecOut[:0]
-	e.processRange(l, groups, 0, split)
+	e.recOut = e.processRange(l, groups, 0, split, e.recOut[:0])
 	if e.roundTiming {
 		e.lastStage.Boundary = time.Since(t0)
 		e.lastStage.BoundaryTargets = split
 	}
 	e.partGroups, e.partSplit, e.partLayer = groups, split, l
 	e.partSplitOpen = true
-	return e.partRecOut, nil
+	return e.recOut, nil
 }
 
 // RoundLayerInterior finishes the layer RoundLayerBoundary opened: it
@@ -260,40 +212,17 @@ func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
 	if e.roundTiming {
 		t0 = time.Now()
 	}
-	boundaryRecs := e.partRecOut
-	e.partRecOut = e.partRecB[:0]
-	e.processRange(l, groups, split, len(groups))
-	e.partRecB = e.partRecOut
-	interiorRecs := e.partRecOut
-	e.partRecOut = boundaryRecs
+	e.partRecB = e.processRange(l, groups, split, len(groups), e.partRecB[:0])
 	if e.roundTiming {
 		e.lastStage.Interior = time.Since(t0)
 	}
 
 	// Merge the carried user events of the two phases back into global
-	// target order (each phase's slots are target-sorted runs), so the next
-	// layer sees exactly the event order an unsplit layer produces.
-	uev := e.uevBuf[:0]
-	i, j := 0, split
-	for i < split && j < len(groups) {
-		if groups[i].target < groups[j].target {
-			uev = append(uev, e.outU[i]...)
-			i++
-		} else {
-			uev = append(uev, e.outU[j]...)
-			j++
-		}
-	}
-	for ; i < split; i++ {
-		uev = append(uev, e.outU[i]...)
-	}
-	for ; j < len(groups); j++ {
-		uev = append(uev, e.outU[j]...)
-	}
-	e.uevBuf = uev
-	e.partCarU = uev
+	// target order, so the next layer sees exactly the event order an
+	// unsplit layer produces.
+	e.carryUser(groups, split)
 	e.partSplitOpen = false
-	return interiorRecs, nil
+	return e.partRecB, nil
 }
 
 // HasCarriedRoundEvents reports whether the open round is carrying user-hook
@@ -301,7 +230,7 @@ func (e *Engine) RoundLayerInterior() ([]MessageChange, error) {
 // layer barriers: a shard with an empty sub-batch, an empty delivery list AND
 // no carried events has provably nothing to do in the next layer,
 // so the router skips the call entirely.
-func (e *Engine) HasCarriedRoundEvents() bool { return len(e.partCarU) > 0 }
+func (e *Engine) HasCarriedRoundEvents() bool { return len(e.carU) > 0 }
 
 // MessageRow returns the engine's live layer-l message row of vertex v. The
 // slice aliases engine state: callers copy it out before the engine runs
@@ -352,9 +281,7 @@ func (e *Engine) FinishRound() error {
 		return errors.New("inkstream: FinishRound with a boundary phase still open (RoundLayerInterior)")
 	}
 	e.partActive = false
-	e.partDelta = nil
-	e.partOld = nil
-	e.partCarU = nil
+	e.curDelta, e.curOld, e.carU = nil, nil, e.carU[:0]
 	e.snap.applied++
 	if e.roundTiming {
 		e.lastStage = RoundStageStats{}
@@ -362,37 +289,38 @@ func (e *Engine) FinishRound() error {
 	return nil
 }
 
-// regenFanOut regenerates the layer-l events of the round's message-change
-// records over this shard's arcs: for each record in node order, events to
-// the source's local out-neighbors, skipping arcs inserted this round
-// (their changed-edge events already carry the new message). This mirrors
-// Engine.fanOut with the record standing in for the in-process source: the
-// payloads are rebuilt locally (old-message clone, ghost-row new message,
-// locally computed diff), so cross-shard records are read exactly once.
+// regenFanOut regenerates the layer-l events of the previous layer's
+// message-change records over this engine's arcs: for each record in node
+// order, events to the source's out-neighbors, skipping arcs inserted this
+// batch (their changed-edge events already carry the new message — the
+// duplicate-event rule of Sec. II-B2). The new message is read from the
+// live (or ghost) row, and an accumulative diff is computed locally; it is
+// bitwise identical on every shard (same Old/New bits, same elementwise
+// subtraction), so accumulative sums see the exact payloads a single engine
+// would.
 func (e *Engine) regenFanOut(evts []Event, l int, recs []MessageChange) []Event {
 	agg := e.model.Layers[l].Agg()
+	fetched := 0
 	for _, r := range recs {
 		nbrs := e.g.OutNeighbors(r.Node)
 		if len(nbrs) == 0 {
 			continue
 		}
 		newM := e.state.M[l].Row(int(r.Node))
+		// Reserve the worst-case capacity up front: high-degree fan-out
+		// would otherwise pay repeated slice growth inside the loop.
 		if agg.Monotonic() {
-			oldM := e.arena.clone(r.Old)
 			evts = slices.Grow(evts, 2*len(nbrs))
 			for _, v := range nbrs {
 				if _, skip := e.insArcs[[2]graph.NodeID{r.Node, v}]; skip {
 					continue
 				}
-				e.c.FetchVec(2 * len(newM))
+				fetched += 2 * len(newM)
 				evts = append(evts,
-					Event{Op: OpDel, Target: v, Payload: e.payload(oldM)},
+					Event{Op: OpDel, Target: v, Payload: e.payload(r.Old)},
 					Event{Op: OpAdd, Target: v, Payload: e.payload(newM)})
 			}
 		} else {
-			// The diff is bitwise identical on every shard (same Old/New
-			// bits, same elementwise subtraction), so accumulative sums see
-			// the exact payloads a single engine would.
 			diff := e.arena.alloc(len(newM))
 			tensor.Sub(diff, newM, r.Old)
 			evts = slices.Grow(evts, len(nbrs))
@@ -400,39 +328,13 @@ func (e *Engine) regenFanOut(evts []Event, l int, recs []MessageChange) []Event 
 				if _, skip := e.insArcs[[2]graph.NodeID{r.Node, v}]; skip {
 					continue
 				}
-				e.c.FetchVec(len(diff))
+				fetched += len(diff)
 				evts = append(evts, Event{Op: OpUpdate, Target: v, Payload: e.payload(diff)})
 			}
 		}
 	}
+	e.c.FetchVec(fetched)
 	return evts
-}
-
-// applyVertexUpdatesCapture is applyVertexUpdates for partitioned mode:
-// instead of fanning layer-0 events out it captures one MessageChange per
-// feature update whose message actually changed, in sub-batch order (the
-// router sorts round updates by node, so this is node order).
-func (e *Engine) applyVertexUpdatesCapture(ups []VertexUpdate) ([]MessageChange, []UserEvent) {
-	if len(ups) == 0 {
-		return nil, nil
-	}
-	layer0 := e.model.Layers[0]
-	e.partRecOut = e.partRecOut[:0]
-	uevts := e.uevBuf[:0]
-	for _, up := range ups {
-		e.state.H[0].SetRow(int(up.Node), up.X)
-		mRow := e.state.M[0].Row(int(up.Node))
-		oldM := e.arena.clone(mRow)
-		layer0.ComputeMessage(mRow, up.X)
-		gnn.CountMessage(e.c, layer0)
-		if oldM.Equal(mRow) {
-			continue
-		}
-		e.partRecOut = append(e.partRecOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
-		uevts = append(uevts, e.hooks.Propagate(-1, up.Node, oldM, mRow)...)
-	}
-	e.uevBuf = uevts
-	return e.partRecOut, uevts
 }
 
 // indexDeltaArcs records which arcs this batch inserts (propagation from

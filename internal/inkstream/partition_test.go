@@ -1,6 +1,7 @@
 package inkstream
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -234,6 +235,9 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if _, err := plain.RoundLayerBoundary(0, nil); err == nil {
 		t.Fatal("RoundLayerBoundary accepted without an open round")
 	}
+	if _, err := plain.RoundLayerInterior(); err == nil {
+		t.Fatal("RoundLayerInterior accepted without an open round")
+	}
 	if err := plain.FinishRound(); err == nil {
 		t.Fatal("FinishRound accepted without an open round")
 	}
@@ -249,11 +253,17 @@ func TestPartitionedModeRejections(t *testing.T) {
 	if err := ink.SetPartitionLocal(part.LocalMask(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ink.Apply(nil, nil); err == nil {
-		t.Fatal("Apply accepted on a partitioned engine")
+	if err := ink.Apply(nil, nil); !errors.Is(err, errPartitioned) {
+		t.Fatalf("Apply on a partitioned engine: %v, want errPartitioned", err)
 	}
-	if _, err := ink.AddNode(tensor.RandVector(rng, featLen, 1)); err == nil {
-		t.Fatal("AddNode accepted on a partitioned engine")
+	if err := ink.UpdateVertices([]VertexUpdate{{Node: 0, X: tensor.RandVector(rng, featLen, 1)}}); !errors.Is(err, errPartitioned) {
+		t.Fatalf("UpdateVertices on a partitioned engine: %v, want errPartitioned", err)
+	}
+	if _, err := ink.AddNode(tensor.RandVector(rng, featLen, 1)); !errors.Is(err, errPartitioned) {
+		t.Fatalf("AddNode on a partitioned engine: %v, want errPartitioned", err)
+	}
+	if ink.Graph().NumNodes() != n || ink.AppliedBatches() != 0 {
+		t.Fatal("a rejected standalone call mutated the partitioned engine")
 	}
 	var remote graph.NodeID = -1
 	for v := 0; v < n; v++ {

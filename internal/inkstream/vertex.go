@@ -26,6 +26,9 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 		if len(up.X) != e.model.InDim() {
 			return fmt.Errorf("inkstream: vertex update %d: feature dim %d, model wants %d", i, len(up.X), e.model.InDim())
 		}
+		if e.partLocal != nil && !e.partLocal[up.Node] {
+			return fmt.Errorf("inkstream: vertex update %d targets remote node %d", i, up.Node)
+		}
 		if _, dup := seen[up.Node]; dup {
 			return fmt.Errorf("inkstream: vertex update %d: node %d updated twice in one batch", i, up.Node)
 		}
@@ -34,20 +37,21 @@ func (e *Engine) validateVertexUpdates(ups []VertexUpdate) error {
 	return nil
 }
 
-// applyVertexUpdates writes the new features, refreshes the first-layer
-// messages, and produces the initial layer-0 events: the effect of a new
-// feature x_u is the replacement of m_{1,u} in the paper's 1-based
-// numbering — here m_0 — propagated to u's neighbors and, for
-// self-dependent first layers, to u itself via the hooks.
-func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
+// applyVertexUpdates writes the new features and refreshes the first-layer
+// messages: the effect of a new feature x_u is the replacement of m_{1,u} in
+// the paper's 1-based numbering — here m_0. It returns one MessageChange per
+// update whose message actually changed, in batch order (the router sorts
+// round updates by node, so this is node order), from which layer 0 fans the
+// change out to u's neighbors; the hooks' events for u itself (self-dependent
+// first layers) become the carried user events.
+func (e *Engine) applyVertexUpdates(ups []VertexUpdate) []MessageChange {
 	if len(ups) == 0 {
-		return nil, nil
+		e.carU = e.carU[:0]
+		return nil
 	}
 	layer0 := e.model.Layers[0]
-	// Build the initial events directly in the carried-event buffers; the
-	// layer loop consumes them into the grouper before Apply reuses
-	// the same buffers for its output.
-	evts, uevts := e.evBuf[:0], e.uevBuf[:0]
+	e.recOut = e.recOut[:0]
+	uevts := e.carU[:0]
 	for _, up := range ups {
 		e.state.H[0].SetRow(int(up.Node), up.X)
 		mRow := e.state.M[0].Row(int(up.Node))
@@ -57,11 +61,11 @@ func (e *Engine) applyVertexUpdates(ups []VertexUpdate) ([]Event, []UserEvent) {
 		if oldM.Equal(mRow) {
 			continue
 		}
-		evts = e.fanOut(up.Node, layer0.Agg(), oldM, mRow, evts)
+		e.recOut = append(e.recOut, MessageChange{Node: up.Node, Old: oldM, New: mRow})
 		uevts = append(uevts, e.hooks.Propagate(-1, up.Node, oldM, mRow)...)
 	}
-	e.evBuf, e.uevBuf = evts, uevts
-	return evts, uevts
+	e.carU = uevts
+	return e.recOut
 }
 
 // AddNode grows the graph and every cached matrix by one isolated vertex

@@ -192,12 +192,12 @@ func (e *Engine) Update(delta graph.Delta) error {
 			dirtyOut[u] = struct{}{}
 		}
 	}
-	outNodes := make([]graph.NodeID, 0, len(dirtyOut))
+	dirty := make([]graph.NodeID, 0, len(dirtyOut))
 	for u := range dirtyOut {
-		outNodes = append(outNodes, u)
+		dirty = append(dirty, u)
 	}
-	sort.Slice(outNodes, func(i, j int) bool { return outNodes[i] < outNodes[j] })
-	e.recombine(outNodes)
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	e.recombine(dirty)
 	return nil
 }
 

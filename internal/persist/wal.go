@@ -50,7 +50,7 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, valid, torn, err := readRecords(f)
+	_, valid, torn, err := readRecords(f, -1)
 	if err == nil && torn {
 		if err = f.Truncate(valid); err == nil {
 			err = f.Sync()
@@ -173,15 +173,40 @@ func ReadWAL(path string) ([]Batch, bool, error) {
 		return nil, false, err
 	}
 	defer f.Close()
-	out, _, torn, err := readRecords(f)
+	out, _, torn, err := readRecords(f, -1)
 	return out, torn, err
 }
 
-// readRecords decodes every complete record from r. valid is the byte
-// length of that complete prefix; torn reports a partial record after it.
-func readRecords(r io.Reader) (out []Batch, valid int64, torn bool, err error) {
+// TruncateWAL cuts the log at path down to its first n complete records and
+// fsyncs the cut, so a later OpenWAL appends right behind record n. A log
+// holding no more than n complete records is left as it is.
+func TruncateWAL(path string, n int) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	recs, valid, _, err := readRecords(f, n)
+	if err == nil && len(recs) == n {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil && fi.Size() > valid {
+			if err = f.Truncate(valid); err == nil {
+				err = f.Sync()
+			}
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("persist: truncating WAL %s: %w", path, err)
+	}
+	return nil
+}
+
+// readRecords decodes the complete records from r, stopping after limit of
+// them when limit >= 0. valid is the byte length of the decoded prefix; torn
+// reports a partial record after it.
+func readRecords(r io.Reader, limit int) (out []Batch, valid int64, torn bool, err error) {
 	br := bufio.NewReader(r)
-	for {
+	for len(out) != limit {
 		hdr := make([]byte, 5)
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			if err == io.EOF {
@@ -207,6 +232,7 @@ func readRecords(r io.Reader) (out []Batch, valid int64, torn bool, err error) {
 		out = append(out, b)
 		valid += int64(len(hdr)) + int64(n)
 	}
+	return out, valid, false, nil
 }
 
 func decodeBatch(p []byte) (Batch, error) {

@@ -863,8 +863,10 @@ func (rt *Router) eachShard(f func(i int, s *shardState) error) error {
 // through the normal round-execution path (journaling skipped — the
 // records are already durable) and mirrors the deltas into the replica.
 // Torn tails and shards that lost their last rounds only shrink the
-// prefix; surviving suffix records beyond it are ignored (they were never
-// acked by every shard).
+// prefix; surviving suffix records beyond it were never acked by every
+// shard, so every WAL is then cut to the prefix. Otherwise the next round
+// would append behind them, and a later recovery would pair records of
+// different rounds.
 func (rt *Router) recover(dir string) error {
 	perShard := make([][]persist.Batch, len(rt.shards))
 	nRounds := -1
@@ -914,6 +916,11 @@ func (rt *Router) recover(dir string) error {
 		}
 		rt.rounds.Add(1)
 		rt.recovered.Add(1)
+	}
+	for s := range rt.shards {
+		if err := persist.TruncateWAL(persist.ShardWALPath(dir, s), nRounds); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("shard %d: %w", s, err)
+		}
 	}
 	return nil
 }

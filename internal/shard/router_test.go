@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/inkstream"
+	"repro/internal/persist"
 	"repro/internal/tensor"
 )
 
@@ -481,6 +483,103 @@ func TestRouterWALRecovery(t *testing.T) {
 	}
 	if _, epoch, _ := rt2.ReadEmbedding(0); epoch != before[0].epoch+1 {
 		t.Fatalf("post-recovery epoch %d, want %d", epoch, before[0].epoch+1)
+	}
+}
+
+// TestRouterRecoveryTwice is the partial-round repro: 3 shards run 5 rounds
+// and shard 2 loses its last record, so recovery replays 4 rounds. Two more
+// updates follow. A second recovery must then serve, bitwise and at the same
+// epoch, exactly what the second process served — which holds only if the
+// first recovery cut the other shards' fifth record before appending.
+func TestRouterRecoveryTwice(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const n, featLen = 40, 5
+	g := testGraph(rng, n, 90)
+	x := tensor.RandMatrix(rng, n, featLen, 1)
+	model := testModel(rng, "SAGE", featLen, gnn.AggMean)
+	cfg := Config{Shards: 3, WALDir: t.TempDir()}
+
+	// run applies steps random updates, each touching every shard's WAL
+	// (a round journals one record per shard, empty or not).
+	run := func(rt *Router, mirror *graph.Graph, steps int) {
+		t.Helper()
+		for step := 0; step < steps; step++ {
+			delta := graph.RandomDelta(rng, mirror, 3)
+			vups := []inkstream.VertexUpdate{{
+				Node: graph.NodeID(rng.Intn(n)),
+				X:    tensor.RandVector(rng, featLen, 1),
+			}}
+			if err := rt.Apply(delta, vups); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if err := delta.Apply(mirror); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rt, err := New(model, g.Clone(), x.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := g.Clone()
+	run(rt, mirror, 4)
+	afterFour := mirror.Clone()
+	run(rt, mirror, 1)
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shard 2 loses its last record: cutting one byte tears it.
+	path := persist.ShardWALPath(cfg.WALDir, 2)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	rt2, err := New(model, g.Clone(), x.Clone(), cfg)
+	if err != nil {
+		t.Fatalf("first recovery: %v", err)
+	}
+	if got := rt2.Stats().RecoveredRounds; got != 4 {
+		t.Fatalf("first recovery replayed %d rounds, want 4", got)
+	}
+	run(rt2, afterFour, 2)
+	type served struct {
+		row   tensor.Vector
+		epoch uint64
+	}
+	want := make([]served, n)
+	for v := 0; v < n; v++ {
+		row, epoch, _ := rt2.ReadEmbedding(v)
+		want[v] = served{row: row.Clone(), epoch: epoch}
+	}
+	if err := rt2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < cfg.Shards; s++ {
+		batches, torn, err := persist.ReadWAL(persist.ShardWALPath(cfg.WALDir, s))
+		if err != nil || torn || len(batches) != 6 {
+			t.Fatalf("shard %d WAL: %d records (torn %v, err %v), want 6", s, len(batches), torn, err)
+		}
+	}
+
+	rt3, err := New(model, g.Clone(), x.Clone(), cfg)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer rt3.Close()
+	if got := rt3.Stats().RecoveredRounds; got != 6 {
+		t.Fatalf("second recovery replayed %d rounds, want 6", got)
+	}
+	for v := 0; v < n; v++ {
+		row, epoch, _ := rt3.ReadEmbedding(v)
+		if epoch != want[v].epoch || !row.Equal(want[v].row) {
+			t.Fatalf("node %d: second recovery serves epoch %d %v, the second process served epoch %d %v",
+				v, epoch, row, want[v].epoch, want[v].row)
+		}
 	}
 }
 

@@ -14,6 +14,11 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The HTTP benchmark is its own Go module (replacing repro with this tree),
+# so ./... above never compiles it: vet and short-test it against the
+# engine API here, outside any go.work.
+GOWORK=off go -C httpbench vet .
+GOWORK=off go -C httpbench test -short -count=1 .
 # The race block runs at GOMAXPROCS=1 and at the host's core count, so
 # behaviour that depends on the core count (a goroutine that only starts
 # with >1 worker, a race only real parallelism interleaves) cannot hide.
